@@ -46,24 +46,22 @@ def optimal_effort_linear(K, theta, prec):
     return np.maximum(np.sqrt(np.maximum(K, 0.0) / theta) - prec, 0.0)
 
 
-def reward_effort_quadratic(K, theta, prec, n_iter: int = 110) -> np.ndarray:
+def reward_effort_quadratic(K, theta, prec) -> np.ndarray:
     """Positive root of K/(prec+q)^2 = theta q (the effort first-order
-    condition under quadratic cost), by vectorized bisection.  K = 0 -> 0.
-    The root is bounded above by (K/theta)^(1/3), with equality when prec = 0.
+    condition under quadratic cost).  K = 0 -> 0.
+
+    With v = prec + q and c = K/theta this is the mechanism's cubic
+    v^3 - prec v^2 = c.  q = c/v^2 sidesteps the cancellation in v - prec at
+    small q, and one Newton step on q (prec+q)^2 = c polishes the last bits.
     """
     K = np.asarray(K, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    K_b, theta_b = np.broadcast_arrays(K, theta)
-    hi = np.cbrt(np.maximum(K_b, 0.0) / theta_b)
-    lo = np.zeros_like(hi)
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        # g(q) = K - theta q (prec+q)^2 is strictly decreasing
-        high = K_b - theta_b * mid * (prec + mid) ** 2 > 0.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(K_b > 0.0, out, 0.0)
+    c = np.maximum(K, 0.0) / np.asarray(theta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):   # K = 0, prec = 0
+        v = mechanism.cubic_root(prec, c)
+        q = c / (v * v)
+        vq = prec + q
+        q = q - (q * vq * vq - c) / (vq * (prec + 3.0 * q))
+    return np.where(K > 0.0, q, 0.0)
 
 
 def effort_payoff(q, theta, K, S, pi, cost_model: CostModel, prec: float):
@@ -121,8 +119,7 @@ def _linear_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
 
 
 def _quadratic_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
-                            scenario: Scenario, effort_policy,
-                            gl_order: int = 48) -> np.ndarray:
+                            scenario: Scenario, effort_policy) -> np.ndarray:
     dist = scenario.type_dist
     lo, hi = dist.theta_lo, dist.theta_hi
     var0 = scenario.prior.var0
@@ -141,7 +138,7 @@ def _quadratic_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
         K = (prec + Q) ** 2 * Q * th
         S = (prec + Q) * Q * th
         tail = mechanism.quadratic_pi_tail_gl(np.full_like(s_rest, th), s_rest,
-                                              lo, hi, var0, gl_order)
+                                              lo, hi, var0)
         pi = 0.5 * (th * Q ** 2 + tail)
         if effort_policy == "optimal":
             q = reward_effort_quadratic(K, theta, prec)

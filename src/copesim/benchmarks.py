@@ -89,14 +89,10 @@ def homogeneous_contract(theta_dagger: float, n_agents: int, cost_kind: str,
         beta = (prec + q) ** 2 * td
         return HomogeneousContract(td, q, alpha, beta)
     if cost_kind == QUADRATIC:
-        # 1/(prec + N q)^2 = theta q; root is below (theta N^2)^(-1/3),
-        # exactly there when the prior is uninformative
-        q_hi = (td * n_agents ** 2) ** (-1.0 / 3.0)
-        if prec == 0.0:
-            q = q_hi
-        else:
-            f = lambda q: 1.0 / (prec + n_agents * q) ** 2 - td * q
-            q = brentq(f, 0.0, q_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        # 1/(prec + N q)^2 = theta q; with v = prec + N q this is the
+        # mechanism's cubic v^3 - prec v^2 = N/theta, and q = 1/(theta v^2)
+        v = float(mechanism.cubic_root(prec, n_agents / td))
+        q = 1.0 / (td * v * v)
         alpha = (prec + q) * td * q + 0.5 * td * q ** 2
         beta = (prec + q) ** 2 * td * q
         return HomogeneousContract(td, float(q), alpha, beta)

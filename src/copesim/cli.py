@@ -71,7 +71,9 @@ def cmd_run(args) -> int:
             cfg = ExperimentConfig().validate()
         if args.output is not None:
             cfg = replace(cfg, output_path=args.output).validate()
-    except ConfigError as exc:
+        workers = (engine.default_workers() if args.workers is None
+                   else args.workers)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     settings = engine.EngineSettings(tie_break=cfg.tie_break,
@@ -89,7 +91,7 @@ def cmd_run(args) -> int:
         results = engine.run_experiment(
             cfg.prior(), cfg.type_dist(), cfg.cost_model(),
             cfg.n_agents_list, cfg.mechanisms(), cfg.n_trials,
-            cfg.master_seed, n_workers=args.workers, settings=settings,
+            cfg.master_seed, n_workers=workers, settings=settings,
             progress=progress if not args.quiet else None)
     except SolverError as exc:
         print(f"solver abort: {exc}", file=sys.stderr)

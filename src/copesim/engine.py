@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class EngineSettings:
     chunk_size: int = 4096
     tie_break: str = "lowest-index"        # or "seeded-random"
     hom_denominator: str = "participants"  # or "full-n"
-    gl_order: int = 48
     fixed_types: Optional[Tuple[float, ...]] = None
     br_grid: int = 41      # best-response agent mode oracle resolution
     br_mc: int = 2000
@@ -240,7 +239,7 @@ def _chunk_cope_quadratic(scenario, seed, t0, t1, settings):
     x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
     reported = types.copy()
     pi, K, S, efforts = mechanism.quadratic_components_batch(
-        reported, lo, hi, var0, settings.gl_order)
+        reported, lo, hi, var0)
     obs, est = _observe(x, efforts, noise, prior)
     prediction = mechanism.predict_batch(prior, est, efforts)
     payments = pi - K * (x[:, None] - est) ** 2 + S
@@ -592,9 +591,13 @@ def _portable(scenario: Scenario) -> bool:
 
 def default_workers() -> int:
     env = os.environ.get("COPE_SIM_WORKERS")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ValueError(
+            f"COPE_SIM_WORKERS must be an integer, got {env!r}") from None
 
 
 def run_experiment(prior: GaussianPrior, type_dist: CostTypeDistribution,

@@ -90,18 +90,22 @@ def cubic_root(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    lam = a ** 3 * b / 27.0 + b * b / 4.0
-    t = a ** 3 / 27.0 + b / 2.0
+    a3 = a * a * a
+    lam = a3 * b / 27.0 + b * b / 4.0
+    t = a3 / 27.0 + b / 2.0
     s = np.sqrt(lam)
     W = a / 3.0 + np.cbrt(t + s) + np.cbrt(t - s)
 
     def polish(W):
-        f = W ** 3 - a * W ** 2 - b
-        fp = 3.0 * W ** 2 - 2.0 * a * W
+        W2 = W * W
+        f = W2 * W - a * W2 - b
+        fp = 3.0 * W2 - 2.0 * a * W
         return np.where(fp > 0, W - f / np.where(fp > 0, fp, 1.0), W)
 
     W = polish(W)
-    res = np.abs(W ** 3 - a * W ** 2 - b) / np.maximum(1.0, W ** 3)
+    W2 = W * W
+    W3 = W2 * W
+    res = np.abs(W3 - a * W2 - b) / np.maximum(1.0, W3)
     if np.any(res > 1e-12):
         W = np.where(res > 1e-12, polish(W), W)
     return W
@@ -306,6 +310,10 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
 
 _GL_CACHE: dict = {}
 
+#: rows of the rent tail evaluated together: 512 rows x 48 nodes keep each
+#: float64 temporary at 192 KiB
+_TAIL_BLOCK_ROWS = 512
+
 
 def _gauss_legendre(order: int):
     if order not in _GL_CACHE:
@@ -319,25 +327,36 @@ def quadratic_pi_tail_gl(theta_from, s_rest, theta_lo: float, theta_hi: float,
     [theta_from, theta_hi].  Substituting u = (2z - theta_lo)^(1/3) bounds the
     integrand at the low end (it behaves like gamma^(-2/3) there), so a fixed
     Gauss-Legendre rule converges fast; verified against quadratic_pi_quad in
-    tests.  Broadcasts over leading dimensions of theta_from / s_rest."""
-    tf = np.asarray(theta_from, dtype=float)
-    s = np.asarray(s_rest, dtype=float)
+    tests.  Broadcasts over leading dimensions of theta_from / s_rest.
+
+    Rows are evaluated in blocks of _TAIL_BLOCK_ROWS so the (rows, order)
+    temporaries stay cache-resident; each row's arithmetic does not depend on
+    the blocking, so the result is the same bits as one whole-array pass."""
+    tf, s = np.broadcast_arrays(np.asarray(theta_from, dtype=float),
+                                np.asarray(s_rest, dtype=float))
+    shape = tf.shape
+    tf = tf.reshape(-1)
+    s = s.reshape(-1)
     a = 1.0 / var0
     x, w = _gauss_legendre(order)
-    ua = np.cbrt(2.0 * tf - theta_lo)
     ub = np.cbrt(2.0 * theta_hi - theta_lo)
-    mid = 0.5 * (ua + ub)
-    half = 0.5 * (ub - ua)
-    u = mid[..., None] + half[..., None] * x          # (..., order)
-    gam = u ** 3
-    W = cubic_root(a, s[..., None] + 1.0 / gam)
-    q = 1.0 / (gam * W * W)
-    integrand = q * q * 1.5 * u * u                   # dz = (3/2) u^2 du
-    return (integrand * w).sum(axis=-1) * half
+    out = np.empty(tf.size)
+    for start in range(0, tf.size, _TAIL_BLOCK_ROWS):
+        rows = slice(start, start + _TAIL_BLOCK_ROWS)
+        ua = np.cbrt(2.0 * tf[rows] - theta_lo)
+        mid = 0.5 * (ua + ub)
+        half = 0.5 * (ub - ua)
+        u = mid[:, None] + half[:, None] * x          # (rows, order)
+        gam = u ** 3
+        W = cubic_root(a, s[rows, None] + 1.0 / gam)
+        q = 1.0 / (gam * W * W)
+        integrand = q * q * 1.5 * u * u               # dz = (3/2) u^2 du
+        out[rows] = (integrand * w).sum(axis=-1) * half
+    return out.reshape(shape)
 
 
 def quadratic_components_batch(theta_hat: np.ndarray, theta_lo: float,
-                               theta_hi: float, var0: float, order: int = 48
+                               theta_hi: float, var0: float
                                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(pi, K, S, efforts) for every agent, vectorized over leading dims of a
     (..., N) report array.  Fast path used by the simulation engine."""
@@ -351,7 +370,7 @@ def quadratic_components_batch(theta_hat: np.ndarray, theta_lo: float,
     W = cubic_root(a, s_total)                        # (..., 1)
     efforts = inv_gamma / (W * W)
     tail = quadratic_pi_tail_gl(theta_hat, s_total - inv_gamma,
-                                theta_lo, theta_hi, var0, order)
+                                theta_lo, theta_hi, var0)
     pi = 0.5 * (theta_hat * efforts ** 2 + tail)
     K, S = _quadratic_KS(theta_hat, efforts, var0)
     return pi, K, S, efforts

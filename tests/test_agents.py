@@ -1,6 +1,8 @@
 """Agent-side oracles: reporting, reward-driven effort, interim payoffs, and
 the numeric best-response searches used by the incentive verification suite."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,48 @@ def test_quadratic_reward_effort_foc():
     # broadcasting: vector rewards against a scalar type
     out = agents.reward_effort_quadratic(np.array([0.5, 0.0]), 0.5, 0.0)
     assert np.allclose(out, [1.0, 0.0])
+
+
+def _effort_bisection(K, theta, prec, n_iter=110):
+    """110-step bisection on K - theta q (prec+q)^2 (strictly decreasing in
+    q, root below (K/theta)^(1/3)): the independent oracle for the
+    closed-form effort solve."""
+    K_b, theta_b = np.broadcast_arrays(np.asarray(K, dtype=float),
+                                       np.asarray(theta, dtype=float))
+    hi = np.cbrt(np.maximum(K_b, 0.0) / theta_b)
+    lo = np.zeros_like(hi)
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        high = K_b - theta_b * mid * (prec + mid) ** 2 > 0.0
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    return np.where(K_b > 0.0, 0.5 * (lo + hi), 0.0)
+
+
+@pytest.mark.parametrize("prec", [0.0, 1e-6, 1e-3, 0.25, 1.0, 4.0, 100.0, 1e4])
+def test_quadratic_reward_effort_matches_bisection(prec):
+    gen = np.random.default_rng(20)
+    K = 10.0 ** gen.uniform(-14.0, 3.0, 200_000)
+    theta = 10.0 ** gen.uniform(-12.0, 0.0, 200_000)
+    q = agents.reward_effort_quadratic(K, theta, prec)
+    ref = _effort_bisection(K, theta, prec)
+    assert np.all(q > 0.0)
+    assert np.max(np.abs(q - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("prec", [0.0, 1.0])
+def test_quadratic_reward_effort_zero_reward_and_broadcasting(prec):
+    K = np.array([0.0, 0.3, 2.0])
+    theta = np.array([[0.1], [0.5], [0.9]])
+    cases = [(0.0, 0.5), (0.3, 0.5), (K, 0.5), (0.3, theta[:, 0]), (K, theta)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # K = 0 at prec = 0 must stay quiet
+        for k, th in cases:
+            q = agents.reward_effort_quadratic(k, th, prec)
+            ref = _effort_bisection(k, th, prec)
+            assert np.shape(q) == np.broadcast(k, th).shape
+            # K = 0 entries must be exactly 0
+            assert np.all(np.abs(q - ref) <= 1e-14 * ref)
 
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])

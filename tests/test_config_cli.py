@@ -146,6 +146,19 @@ def test_cli_run_missing_config(tmp_path):
     assert rc == 2
 
 
+def test_cli_run_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COPE_SIM_WORKERS", "abc")
+    rc, out = _run_cli(tmp_path, "bad-env")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.strip().splitlines() == [
+        "error: COPE_SIM_WORKERS must be an integer, got 'abc'"]
+    assert not os.path.exists(out)
+    # an explicit -w wins over the environment
+    rc, _ = _run_cli(tmp_path, "bad-env-w1", extra=("-w", "1"))
+    assert rc == 0
+
+
 def test_cli_verify_cubic(capsys):
     rc = cli.main(["verify", "cubic"])
     out = capsys.readouterr().out

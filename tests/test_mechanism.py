@@ -251,6 +251,57 @@ def test_quadratic_batch_matches_per_agent_rule():
         assert np.allclose(pi[r], rule.pi, atol=1e-9)
 
 
+def _tail_unblocked(theta_from, s_rest, theta_lo, theta_hi, var0, order=48):
+    """The rent tail as one whole-array pass, for the bitwise check on the
+    blocked evaluation."""
+    tf = np.asarray(theta_from, dtype=float)
+    s = np.asarray(s_rest, dtype=float)
+    x, w = np.polynomial.legendre.leggauss(order)
+    ua = np.cbrt(2.0 * tf - theta_lo)
+    ub = np.cbrt(2.0 * theta_hi - theta_lo)
+    mid = 0.5 * (ua + ub)
+    half = 0.5 * (ub - ua)
+    u = mid[..., None] + half[..., None] * x
+    gam = u ** 3
+    W = mechanism.cubic_root(1.0 / var0, s[..., None] + 1.0 / gam)
+    q = 1.0 / (gam * W * W)
+    return (q * q * 1.5 * u * u * w).sum(axis=-1) * half
+
+
+def test_quadratic_tail_blocks_are_bitwise_unblocked():
+    gen = np.random.Generator(np.random.Philox(77005))
+    n = 19
+    # enough rows for several blocks, with a partial last block
+    t = 2 * mechanism._TAIL_BLOCK_ROWS // n + 3
+    assert (t * n) % mechanism._TAIL_BLOCK_ROWS != 0
+    theta = gen.uniform(1e-6, 1.0, (t, n))
+    inv = 1.0 / (2.0 * theta)
+    s_rest = inv.sum(axis=1, keepdims=True) - inv
+    cases = [
+        (0.37, 2.5),                                     # scalar
+        (theta[:, 0], s_rest[:, 0]),                     # (D,)
+        (theta, s_rest),                                 # (T, N)
+        (theta, s_rest[:, :1]),                          # (T, N) vs (T, 1)
+    ]
+    for var0 in (1.0, 4.0):
+        for tf, s in cases:
+            got = mechanism.quadratic_pi_tail_gl(tf, s, 0.0, 1.0, var0)
+            want = _tail_unblocked(tf, s, 0.0, 1.0, var0)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+def test_quadratic_pi_accurate_at_low_reports():
+    # one report near the bottom of the support and a rival just above it:
+    # the tail integrand varies fast near theta_from, where a 32-node rule
+    # leaves a 1e-6 relative error (the 48-node rule: 4e-11)
+    theta = np.concatenate([[1e-6, 1e-4], np.linspace(0.02, 1.0, 17)])
+    pi, _, _, _ = mechanism.quadratic_components_batch(theta, 0.0, 1.0, 1.0)
+    for i in (0, 1):
+        exact = mechanism.quadratic_pi_quad(i, theta, 0.0, 1.0, 1.0, tol=1e-13)
+        assert abs(pi[i] - exact) <= 1e-9 * exact
+
+
 # -- general-cost route -------------------------------------------------------
 
 def test_general_optimizer_recovers_linear_corner():
