@@ -95,6 +95,7 @@ def cmd_run(args) -> int:
             progress=progress if not args.quiet else None)
     except SolverError as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
+        print(json.dumps(exc.diagnostics, sort_keys=True), file=sys.stderr)
         return 3
     elapsed = time.monotonic() - t0
     csv_path = os.path.join(out_dir, "results.csv")

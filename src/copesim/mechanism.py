@@ -5,8 +5,8 @@ and pays through a three-part transfer: an unconditional part pi covering cost
 plus information rent, an accuracy stake K multiplying the squared prediction
 error, and a constant S returning the stake's expected value at the designated
 effort.  Two closed-form families are implemented (linear cost: a single
-winner is recruited; quadratic cost: everyone works) plus a numeric solver for
-arbitrary regular cost models.
+winner is recruited; quadratic cost: everyone works) plus a scalar solve in
+the total precision for arbitrary regular cost models.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+# optimize is not called here; perfbench's tracer counts calls through both
+# module names
+from scipy import integrate, optimize  # noqa: F401
 
 from . import costs as costs_mod
-from . import rng
 from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta
 from .model import CostTypeDistribution, GaussianPrior
 
@@ -391,15 +392,6 @@ def payment_rule_quadratic(theta_hat, theta_lo: float, theta_hi: float,
 # general cost models: numeric schedule and payments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneralSolverConfig:
-    n_starts: int = 8
-    start_scale: float = 5.0
-    max_iter: int = 500
-    pg_tol: float = 1e-9
-    seed: int = 0
-
-
 def _virtual_total(model: CostModel, q: np.ndarray, theta: np.ndarray,
                    inv_hazard: np.ndarray) -> np.ndarray:
     """C(q, theta) + dC/dtheta(q, theta) * F/f, the per-agent virtual cost."""
@@ -415,97 +407,192 @@ def _virtual_marginal(model: CostModel, q: np.ndarray, theta: np.ndarray,
     return model.marginal(q, theta) + dc * inv_hazard
 
 
+#: _virtual_marginal differentiates in theta by central difference, so its
+#: values carry 1e-11 to 1e-10 relative noise, and the effort solves stop at
+#: that floor (a tighter stop need not terminate): an agent's effort once
+#: |vm(q) - lam| <= _TOL * lam, the total precision once the Newton step in
+#: lam = 1/P^2 is below _TOL * lam
+_TOL = 1e-10
+#: bound on the projected gradient of the returned efforts
+_PG_TOL = 1e-9
+_MAX_ITER = 200
+_EPS = float(np.finfo(float).eps)
+
+
+def _collapsed(lo, hi):
+    """Bracket [lo, hi] within a few ulps (never with hi = inf)."""
+    return lo >= hi * (1.0 - 4.0 * _EPS)
+
+
+def _efforts_at_price(vm: Callable, lam: float, cap: float,
+                      q_start: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Every agent's effort at marginal value lam of precision,
+    q_i = min{q >= 0 : vm(q, i) >= lam}, searched on [0, cap].
+
+    vm(q, idx) is the virtual marginal cost of agents idx at efforts q,
+    nondecreasing in q.  Agents not settled by the bracket ends take Newton
+    steps (slope by forward difference, in the same vm call) from q_start
+    where it lies inside the bracket, from the false-position point
+    otherwise, and bisect where a step would leave the bracket.
+
+    Returns (q, dq_dlam, evals): q_i = inf where vm(cap, i) < lam;
+    dq_dlam_i = 1/vm'(q_i) for interior efforts (0 at the bracket ends or
+    where the slope is not positive); evals counts vm calls.
+    """
+    n = q_start.size
+    every = np.arange(n)
+    ends = vm(np.concatenate((np.zeros(n), np.full(n, cap))),
+              np.concatenate((every, every)))
+    v0, vb = ends[:n], ends[n:]
+    q = np.where(v0 >= lam, 0.0, np.where(vb < lam, np.inf, np.nan))
+    dq_dlam = np.zeros(n)
+    todo = np.flatnonzero(np.isnan(q))
+    lo = np.zeros(todo.size)
+    hi = np.full(todo.size, cap)
+    f_lo, f_hi = v0[todo] - lam, vb[todo] - lam
+    x = q_start[todo]
+    x = np.where((x > lo) & (x < hi), x, cap * f_lo / (f_lo - f_hi))
+    evals = 1
+    for _ in range(_MAX_ITER):
+        if not todo.size:
+            break
+        m = todo.size
+        h = np.maximum(1e-6 * x, 1e-300)
+        vals = vm(np.concatenate((x, x + h)), np.concatenate((todo, todo)))
+        evals += 1
+        f = vals[:m] - lam
+        d = (vals[m:] - vals[:m]) / h
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        up = d > 0.0
+        inv_d = np.where(up, 1.0 / np.where(up, d, 1.0), 0.0)
+        newton = x - f * inv_d
+        inside = up & (newton > lo) & (newton < hi)
+        root = np.abs(f) <= _TOL * lam
+        stop = root | _collapsed(lo, hi)
+        # a root takes the Newton step it has already paid for; a collapsed
+        # bracket sits on a jump of vm, where hi is the least q
+        q[todo[stop]] = np.where(root, np.where(inside, newton, x), hi)[stop]
+        dq_dlam[todo[stop]] = inv_d[stop]
+        step = np.where(inside, newton, 0.5 * (lo + hi))
+        go = ~stop
+        todo, x, lo, hi = todo[go], step[go], lo[go], hi[go]
+    q[todo] = hi        # iteration cap: the upper bracket end meets vm >= lam
+    return q, dq_dlam, evals
+
+
 def effort_general(model: CostModel, type_dist: CostTypeDistribution,
-                   var0: float, theta_hat,
-                   cfg: Optional[GeneralSolverConfig] = None) -> np.ndarray:
+                   var0: float, theta_hat) -> np.ndarray:
     """Designated efforts for an arbitrary regular cost model: maximize
-    -(posterior risk) - sum of virtual costs over q >= 0 by multistart
-    projected quasi-Newton.  Raises SolverError if the projected gradient
-    norm cannot be brought under cfg.pg_tol."""
-    cfg = cfg or GeneralSolverConfig()
+    -1/P - sum of virtual costs over q >= 0, with P = 1/var0 + sum(q) the
+    total precision.
+
+    P is the only coupling between agents: at the optimum every active agent
+    has virtual marginal cost 1/P^2 and every idle one at least that much.
+    So with q_i(P) each agent's least effort whose virtual marginal cost
+    reaches 1/P^2, the optimum is the root of the strictly decreasing
+    F(P) = 1/var0 + sum q_i(P) - P, found by Newton steps in 1/P^2 kept
+    inside a bracket (bisection otherwise), every step solving all agents at
+    once, warm-started from the previous one.  A marginal cost flat in q
+    (linear cost) makes F jump at the root; the agent whose effort jumps
+    there takes the residual P - 1/var0 - sum(others), ties to the lowest
+    index.
+
+    Raises SolverError when no finite optimum exists (effort that costs
+    nothing at the margin) or the projected gradient of the result exceeds
+    1e-9; its diagnostics carry P and the iteration counts.
+    """
     theta_hat = np.asarray(theta_hat, dtype=float)
     n = theta_hat.size
     prec = 1.0 / var0
     inv_hazard = np.asarray(type_dist.inverse_hazard(theta_hat), dtype=float)
+    iterations = {"outer": 0, "inner": 0}
 
-    def neg_objective(q):
-        # flat prior at zero total effort has infinite risk; keep it finite so
-        # L-BFGS-B can still rank the point against interior iterates
-        s = max(prec + float(q.sum()), 1e-150)
-        return 1.0 / s + float(np.sum(_virtual_total(model, q, theta_hat, inv_hazard)))
+    def vm(q, idx):
+        return _virtual_marginal(model, q, theta_hat[idx], inv_hazard[idx])
 
-    def neg_gradient(q):
-        s = max(prec + float(q.sum()), 1e-150)
-        return -1.0 / s ** 2 + _virtual_marginal(model, q, theta_hat, inv_hazard)
+    def solve_at(P, q_start):
+        # an effort above P - 1/var0 alone makes F(P) > 0; searching up to
+        # twice that keeps F finite close to the root
+        q, dq_dlam, evals = _efforts_at_price(vm, 1.0 / (P * P),
+                                              2.0 * (P - prec), q_start)
+        iterations["outer"] += 1
+        iterations["inner"] += evals
+        return q, dq_dlam, prec + float(q.sum()) - P
 
-    gen = rng.generator(cfg.seed, 101)
-    starts = [np.zeros(n),
-              np.maximum((2.0 * theta_hat - type_dist.theta_lo) ** -0.5 - prec, 0.0)]
-    while len(starts) < cfg.n_starts:
-        starts.append(gen.uniform(0.0, cfg.start_scale, size=n))
+    def diagnostics(q, P):
+        return {"theta_hat": theta_hat.tolist(), "q": q.tolist(), "P": P,
+                "outer_iterations": iterations["outer"],
+                "inner_iterations": iterations["inner"]}
 
-    best = None
-    for q0 in starts:
-        res = optimize.minimize(
-            neg_objective, q0, jac=neg_gradient, method="L-BFGS-B",
-            bounds=[(0.0, None)] * n,
-            options={"maxiter": cfg.max_iter, "ftol": 1e-18, "gtol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-
-    q = np.maximum(best.x, 0.0)
-
-    def pg_norm(q):
-        g = neg_gradient(q)
-        pg = np.where(q > 1e-14, g, np.minimum(g, 0.0))
-        return float(np.linalg.norm(pg))
-
-    def vm_i(i, u):
-        return float(_virtual_marginal(model, np.array([u]), theta_hat[i:i + 1],
-                                       inv_hazard[i:i + 1])[0])
-
-    def solve_coordinate(i, s_rest):
-        # exact 1D minimizer over u >= 0 of 1/(prec + s_rest + u) + gamma_i(u);
-        # the gradient -(prec + s_rest + u)^-2 + gamma_i'(u) is increasing
-        def grad(u):
-            denom = prec + s_rest + u
-            if denom <= 0.0:
-                return -math.inf   # flat prior, no effort anywhere: risk slope diverges
-            inv = 1.0 / denom
-            return -inv * inv + vm_i(i, u)
-        if grad(0.0) >= 0.0:
-            return 0.0
-        hi = max(float(q[i]), 1.0)
-        while grad(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                return hi      # effectively free effort; let the caller fail
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if grad(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    # cyclic exact coordinate minimization: the coordinates couple only
-    # through the total effort, so each pass reduces the (strictly convex)
-    # objective and cannot stall the way a scalar-step polish can
-    norm = pg_norm(q)
-    for _ in range(300):
-        if norm <= cfg.pg_tol:
+    # F(lo) > 0 and F(hi) <= 0, with F = +inf where an effort exceeds the
+    # search cap.  Each step is a Newton step in lam = 1/P^2 when it lands
+    # inside the bracket and, once hi is known, at most halves the previous
+    # step; otherwise P doubles (no hi yet) or the bracket is bisected.
+    lo, q_lo, hi, q_hi = prec, np.full(n, np.inf), math.inf, None
+    q = np.zeros(n)
+    if prec > 0.0:
+        q, _, F = solve_at(prec, q)
+        if F == 0.0:
+            return q        # nobody is worth recruiting
+        q_lo = q
+    P = 2.0 * prec if prec > 0.0 else 1.0
+    step_old = math.inf
+    lam, dq_dlam = 1.0 / (P * P), np.zeros(n)
+    for _ in range(_MAX_ITER):
+        # warm start: first-order prediction of each effort from the last P
+        q, dq_dlam, F = solve_at(P, q + dq_dlam * (1.0 / (P * P) - lam))
+        lam = 1.0 / (P * P)
+        # Newton step in lam = 1/P^2: dF/dlam = sum dq_i/dlam + P^3/2
+        dlam = -F / (float(dq_dlam.sum()) + 0.5 * P * P * P)
+        converged = abs(dlam) <= _TOL * lam
+        if converged:
+            # the step, taken to first order
+            q = np.maximum(q + dq_dlam * dlam, 0.0)
             break
-        for i in range(n):
-            q[i] = solve_coordinate(i, float(q.sum() - q[i]))
-        norm = pg_norm(q)
-    if norm > cfg.pg_tol:
+        if F > 0.0:
+            lo, q_lo = P, q
+        else:
+            hi, q_hi = P, q
+        if _collapsed(lo, hi):
+            break
+        lam_new = lam + dlam
+        newton = 1.0 / math.sqrt(lam_new) if lam_new > 0.0 else math.inf
+        if math.isfinite(F) and lo < newton < hi and (
+                hi == math.inf or abs(newton - P) <= 0.5 * step_old):
+            new = newton
+        else:
+            new = 2.0 * P if hi == math.inf else 0.5 * (lo + hi)
+        step_old, P = abs(new - P), new
+        if not 1.0 / (P * P) > 0.0:
+            break           # P * P overflows
+    if not converged:
+        if hi == math.inf:
+            raise SolverError(
+                "effort solver found no finite optimum: virtual marginal "
+                f"cost stays below 1/P^2 up to P = {lo:.3e}",
+                diagnostics=diagnostics(q_lo, lo))
+        if not _collapsed(lo, hi):
+            raise SolverError(
+                f"effort solver did not converge: F(P) = {F:.3e} with P in "
+                f"[{lo:.17g}, {hi:.17g}]", diagnostics=diagnostics(q, P))
+        # F jumps across the collapsed bracket: the agent whose effort drops
+        # most across it takes the residual (argmax: lowest index on ties)
+        q = q_hi.copy()
+        q[int(np.argmax(q_lo - q_hi))] += hi - prec - float(q_hi.sum())
+
+    P = prec + float(q.sum())
+    g = _virtual_marginal(model, q, theta_hat, inv_hazard) - 1.0 / (P * P)
+    pg_norm = float(np.linalg.norm(np.where(q > 1e-14, g, np.minimum(g, 0.0))))
+    if not pg_norm <= _PG_TOL:
+        diag = diagnostics(q, P)
+        diag["pg_norm"] = pg_norm
+        diag["objective"] = -1.0 / P - float(
+            np.sum(_virtual_total(model, q, theta_hat, inv_hazard)))
         raise SolverError(
-            f"effort solver did not converge: projected gradient {norm:.3e}",
-            diagnostics={"theta_hat": theta_hat.tolist(), "q": q.tolist(),
-                         "pg_norm": norm, "objective": -neg_objective(q)})
+            f"effort solver did not converge: projected gradient {pg_norm:.3e}",
+            diagnostics=diag)
     return q
 
 
@@ -614,11 +701,10 @@ def quadratic_schedule(theta_lo: float, var0: float) -> EffortSchedule:
 
 
 def general_schedule(model: CostModel, type_dist: CostTypeDistribution,
-                     var0: float,
-                     cfg: Optional[GeneralSolverConfig] = None) -> EffortSchedule:
+                     var0: float) -> EffortSchedule:
     def ev(theta_n, rest):
         full = np.concatenate(([theta_n], rest))
-        return float(effort_general(model, type_dist, var0, full, cfg)[0])
+        return float(effort_general(model, type_dist, var0, full)[0])
     return EffortSchedule(kind="general", eval_fn=ev)
 
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from copesim import cli
+from copesim.mechanism import SolverError
 from copesim.config import (ConfigError, ExperimentConfig, _parse_int_list,
                             load_config, parse_config, serialize_config)
 
@@ -157,6 +158,24 @@ def test_cli_run_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
     # an explicit -w wins over the environment
     rc, _ = _run_cli(tmp_path, "bad-env-w1", extra=("-w", "1"))
     assert rc == 0
+
+
+def test_cli_run_reports_solver_diagnostics(tmp_path, monkeypatch, capsys):
+    diagnostics = {"theta_hat": [0.4, 0.7], "q": [0.3, 0.1], "P": 1.4,
+                   "outer_iterations": 9, "inner_iterations": 21}
+
+    def abort(*args, **kwargs):
+        raise SolverError("trial 5 (seed 0, N 2): effort solver did not "
+                          "converge", diagnostics)
+
+    monkeypatch.setattr(cli.engine, "run_experiment", abort)
+    rc, out = _run_cli(tmp_path, "abort")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert err[-2] == ("solver abort: trial 5 (seed 0, N 2): effort solver "
+                       "did not converge")
+    assert json.loads(err[-1]) == diagnostics
+    assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
 def test_cli_verify_cubic(capsys):

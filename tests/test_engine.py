@@ -11,7 +11,7 @@ from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
                             EngineSettings, MechanismSpec, homogeneous_spec,
                             normalize_payoff, run_batch, run_experiment,
                             run_trial)
-from copesim.model import CostTypeDistribution, GaussianPrior
+from copesim.model import CostTypeDistribution, GaussianPrior, Scenario
 
 TRIAL_METRICS = ("principal_payoff", "network_profit", "bayes_network_profit",
                  "prediction_sq_error", "expected_sq_error")
@@ -187,6 +187,24 @@ def test_normalize_payoff():
     assert normalize_payoff(-4.0, 4.0) == -1.0
     assert np.allclose(normalize_payoff(np.array([-4.0, -2.0]), 4.0),
                        [-1.0, -0.5])
+
+
+def test_reported_payoffs_are_raw_with_baseline_minus_var0():
+    # types in [20, 30] make every virtual cost exceed var0^-2 = 1/16, so
+    # nobody is recruited: the principal predicts the prior mean, pays
+    # nothing and scores -(x - mu0)^2, whose mean is -var0, not -1
+    scen = Scenario(prior=GaussianPrior(0.0, 4.0),
+                    type_dist=CostTypeDistribution.uniform(20.0, 30.0),
+                    n_agents=3, cost_model=linear_cost())
+    batch = run_batch(scen, COPE_LINEAR, seed=3, n_trials=20_000)
+    assert np.all(batch["positive_effort_count"] == 0.0)
+    assert np.all(batch["total_payment"] == 0.0)
+    payoff = batch["principal_payoff"]
+    mean = payoff.mean()
+    se = payoff.std(ddof=1) / np.sqrt(payoff.size)
+    assert abs(mean + 4.0) <= 3.0 * se
+    assert normalize_payoff(-4.0, 4.0) == -1.0
+    assert abs(normalize_payoff(mean, 4.0) + 1.0) <= 3.0 * se / 4.0
 
 
 def test_pairing_and_spec_validation(make_scenario):

@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from copesim import mechanism
-from copesim.costs import linear_cost, quadratic_cost
+from copesim.costs import general_cost, linear_cost, quadratic_cost
 from copesim.model import CostTypeDistribution, GaussianPrior, posterior_mean_var
 
 U01 = CostTypeDistribution.uniform(0.0, 1.0)
@@ -304,27 +304,121 @@ def test_quadratic_pi_accurate_at_low_reports():
 
 # -- general-cost route -------------------------------------------------------
 
+def _theta_one_plus_q2():
+    # c = theta (1 + q^2): under U[0, 1] types the virtual marginal cost is
+    # 2 theta (1 + q^2) and the virtual cost 2 theta (q + q^3/3)
+    return (general_cost(lambda q, t: np.asarray(t) * (1.0 + np.asarray(q) ** 2),
+                         lambda q, t: np.asarray(t) * (np.asarray(q)
+                                                       + np.asarray(q) ** 3 / 3.0)),
+            lambda q, g: g * (1.0 + q * q), lambda q, g: g * (q + q ** 3 / 3.0))
+
+
+def _theta_q_plus_q2():
+    # c = theta q + q^2: virtual marginal 2 theta q + q^2, virtual cost
+    # theta q^2 + q^3/3
+    return (general_cost(lambda q, t: np.asarray(t) * np.asarray(q) + np.asarray(q) ** 2,
+                         lambda q, t: 0.5 * np.asarray(t) * np.asarray(q) ** 2
+                         + np.asarray(q) ** 3 / 3.0),
+            lambda q, g: g * q + q * q, lambda q, g: 0.5 * g * q * q + q ** 3 / 3.0)
+
+
+def _multistart_lbfgsb(vmarg, vcost, gamma, var0, seed=0):
+    """The multistart L-BFGS-B effort search the scalar solve replaced (two
+    structured starts and six uniform ones on [0, 5]), kept as an oracle."""
+    prec = 1.0 / var0
+
+    def neg_objective(q):
+        return 1.0 / (prec + q.sum()) + float(np.sum(vcost(q, gamma)))
+
+    def neg_gradient(q):
+        return -1.0 / (prec + q.sum()) ** 2 + vmarg(q, gamma)
+
+    gen = np.random.default_rng(seed)
+    starts = [np.zeros(gamma.size), np.maximum(gamma ** -0.5 - prec, 0.0)]
+    starts += [gen.uniform(0.0, 5.0, gamma.size) for _ in range(6)]
+    best = min((minimize(neg_objective, q0, jac=neg_gradient, method="L-BFGS-B",
+                         bounds=[(0.0, None)] * gamma.size,
+                         options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12})
+                for q0 in starts), key=lambda r: r.fun)
+    return np.maximum(best.x, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_general_optimizer_recovers_linear_corner():
     q = mechanism.effort_general(linear_cost(), U01, 1.0, [0.125, 0.9])
     assert q == pytest.approx([1.0, 0.0], abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_general_optimizer_recovers_quadratic_interior():
     q = mechanism.effort_general(quadratic_cost(), U01, math.inf, [0.5])
     assert q == pytest.approx([1.0], abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_general_optimizer_all_zero_when_clamped():
     # every virtual cost exceeds 1: zero effort is optimal under linear cost
     q = mechanism.effort_general(linear_cost(), U01, 1.0, [0.6, 0.9])
     assert np.all(q == 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_general_objective_concave_at_interior_solution():
     theta = np.array([0.4, 0.7])
     q = mechanism.effort_general(quadratic_cost(), U01, 1.0, theta)
     H = mechanism.general_objective_hessian(quadratic_cost(), U01, 1.0, theta, q)
     assert np.all(np.linalg.eigvalsh(H) < -1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0, 100.0, math.inf])
+@pytest.mark.parametrize("n", [1, 2, 7, 19])
+def test_general_solver_matches_quadratic_closed_form(var0, n):
+    gen = np.random.default_rng(1000 * n + 7)
+    for theta in (np.geomspace(1e-3, 1.0, n), gen.uniform(1e-3, 1.0, n)):
+        got = mechanism.effort_general(quadratic_cost(), U01, var0, theta)
+        want = mechanism.effort_quadratic(theta, 0.0, var0)
+        assert np.max(np.abs(got - want) / want) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_general_solver_linear_tie_goes_to_lowest_index():
+    theta = [0.3, 0.3, 0.9]
+    got = mechanism.effort_general(linear_cost(), U01, 1.0, theta)
+    want = mechanism.effort_linear(theta, 0.0, 1.0)
+    assert want[0] > 0.0
+    assert got[1] == 0.0 and got[2] == 0.0
+    assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cost", [_theta_one_plus_q2, _theta_q_plus_q2])
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0])
+def test_general_solver_beats_multistart_oracle(cost, var0):
+    model, vmarg, vcost = cost()
+    gen = np.random.default_rng(11)
+    prec = 1.0 / var0
+    for n in (1, 2, 3, 5, 8):
+        theta = gen.uniform(0.01, 1.0, n)
+        gamma = 2.0 * theta            # U[0, 1]: theta + F/f
+        q = mechanism.effort_general(model, U01, var0, theta)
+        oracle = _multistart_lbfgsb(vmarg, vcost, gamma, var0)
+        objective = lambda v: -1.0 / (prec + v.sum()) - float(np.sum(vcost(v, gamma)))
+        assert objective(q) >= objective(oracle) - 1e-12
+        g = vmarg(q, gamma) - 1.0 / (prec + q.sum()) ** 2
+        kkt = np.where(q > 0.0, g, np.minimum(g, 0.0))
+        assert np.linalg.norm(kkt) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_general_solver_rejects_free_effort():
+    free = general_cost(lambda q, t: 0.0 * np.asarray(q) * np.asarray(t),
+                        lambda q, t: 0.0 * np.asarray(q) * np.asarray(t))
+    with pytest.raises(mechanism.SolverError) as info:
+        mechanism.effort_general(free, U01, 1.0, [0.5])
+    diag = info.value.diagnostics
+    assert diag["P"] > 1e10
+    assert diag["outer_iterations"] > 0 and diag["inner_iterations"] > 0
 
 
 def test_general_payment_reduces_to_linear_identity():
@@ -352,7 +446,6 @@ def test_general_payment_matches_quadratic_rule():
 def test_general_payment_zero_for_free_effort():
     free = mechanism.EffortSchedule(kind="general",
                                     eval_fn=lambda t, rest: 1.0)
-    from copesim.costs import general_cost
     zero_cost = general_cost(marginal=lambda q, theta: 0.0 * np.asarray(q, float),
                              total=lambda q, theta: 0.0 * np.asarray(q, float))
     rule = mechanism.payment_rule_general(zero_cost, free, U01, [0.3], 1.0)
