@@ -8,7 +8,7 @@ effort schedules plus accuracy-scored transfers), the centralized full
 seeded Monte-Carlo engine that compares them.
 """
 
-from .model import (GaussianPrior, CostTypeDistribution, Scenario, Observation,
+from .model import (GaussianPrior, CostTypeDistribution, Scenario,
                     NO_OBSERVATION, posterior_mean_var, principal_bayes_risk,
                     agent_bayes_risk)
 from .costs import (CostModel, linear_cost, quadratic_cost, general_cost, cost,

@@ -130,9 +130,7 @@ def _quadratic_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
         np.zeros(rivals.shape[0])                                      # (D,)
     out = np.empty((th_c.size, s_rest.size))
     for i, th in enumerate(th_c):
-        gam = 2.0 * th - lo
-        if gam <= 0:
-            raise ValueError("virtual cost must be positive for the report")
+        gam = mechanism._virtual_costs(th, lo)
         W = mechanism.cubic_root(prec, s_rest + 1.0 / gam)
         Q = 1.0 / (gam * W * W)                                        # (D,)
         K = (prec + Q) ** 2 * Q * th
@@ -260,11 +258,10 @@ def best_response_effort(theta: float, scenario: Scenario,
     prec = scenario.prior.precision
     rest = np.asarray(theta_rest, dtype=float)
     kind = scenario.cost_kind
+    reports = np.concatenate([[theta_hat], rest])
     if kind == LINEAR:
-        reports = np.concatenate([[theta_hat], rest])
         rule = mechanism.payment_rule_linear(reports, lo, hi, var0)
     elif kind == QUADRATIC:
-        reports = np.concatenate([[theta_hat], rest])
         rule = mechanism.payment_rule_quadratic(reports, lo, hi, var0)
     else:
         raise ValueError(

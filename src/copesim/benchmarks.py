@@ -36,21 +36,26 @@ class CentralizedSolution:
 
 def centralized_efforts(theta, cost_kind: str, var0: float) -> CentralizedSolution:
     """First-best effort profile for known types: linear cost concentrates all
-    effort on the cheapest agent, quadratic cost spreads it through the same
-    cubic as the mechanism but with raw instead of virtual costs."""
+    effort on the cheapest agent (the lowest index on ties), quadratic cost
+    spreads it through the same cubic as the mechanism but with raw instead
+    of virtual costs.  Vectorized over the leading dimensions of a (..., N)
+    type array; W_o is then an array too."""
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise ValueError("cost types must be positive")
     prec = 1.0 / var0
     if cost_kind == LINEAR:
+        winner = np.argmin(theta, axis=-1)[..., None]
+        th_w = np.take_along_axis(theta, winner, axis=-1)
         efforts = np.zeros_like(theta)
-        winner = int(np.argmin(theta))
-        efforts[winner] = max(theta[winner] ** -0.5 - prec, 0.0)
+        np.put_along_axis(efforts, winner, np.maximum(th_w ** -0.5 - prec, 0.0),
+                          axis=-1)
         return CentralizedSolution(efforts=efforts)
     if cost_kind == QUADRATIC:
-        b = float(np.sum(1.0 / theta))
-        W = float(mechanism.cubic_root(prec, b))
-        return CentralizedSolution(efforts=1.0 / (theta * W * W), W_o=W)
+        W = mechanism.cubic_root(prec, np.sum(1.0 / theta, axis=-1,
+                                              keepdims=True))
+        W_o = float(W[0]) if theta.ndim == 1 else W[..., 0]
+        return CentralizedSolution(efforts=1.0 / (theta * W * W), W_o=W_o)
     raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
 
 
@@ -134,21 +139,52 @@ def homogeneous_agent_response(theta: float, contract: HomogeneousContract,
 
 
 def homogeneous_predict(contract: HomogeneousContract, reports, prior:
-                        GaussianPrior, n_denominator: Optional[int] = None
-                        ) -> float:
+                        GaussianPrior, n_denominator: Optional[int] = None):
     """Principal's aggregate under the (wrong) assumption that every
     participant exerted q_dagger: un-shrink each report as if it were a
     posterior mean at effort q_dagger, then average at the assumed precision.
-    The denominator uses the participant count unless n_denominator is given.
+    NaN marks an agent that filed no report.  The denominator uses the
+    participant count unless n_denominator is given.  Vectorized over the
+    leading dimensions of a (..., N) report array; a float for one vector.
     """
     reports = np.asarray(reports, dtype=float)
-    q = contract.q_dagger
-    if q <= 0.0 or reports.size == 0:
-        return prior.mu0
-    prec = prior.precision
-    g = reports + (reports - prior.mu0) * (prec / q)
-    d = reports.size if n_denominator is None else int(n_denominator)
-    return float((prior.mu0 * prec + q * g.sum()) / (prec + d * q))
+    mu0, prec, q = prior.mu0, prior.precision, contract.q_dagger
+    filed = ~np.isnan(reports)
+    m = filed.sum(axis=-1)
+    if q <= 0.0:
+        out = np.full(m.shape, mu0)
+    else:
+        g = reports + (reports - mu0) * (prec / q)
+        den = prec + (m if n_denominator is None else n_denominator) * q
+        num = mu0 * prec + q * np.where(filed, g, 0.0).sum(axis=-1)
+        out = np.where(m > 0, num / np.where(den > 0, den, 1.0), mu0)
+    return float(out) if out.ndim == 0 else out
+
+
+def homogeneous_settle_batch(contract: HomogeneousContract, x, reports,
+                             efforts, prior: GaussianPrior,
+                             n_denominator: Optional[int] = None
+                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The principal's side of the posted contract for a (T, N) chunk of
+    trials with latent states x (T,): (prediction, payments, expected
+    squared error).  NaN reports mark agents that did not participate; each
+    participant is paid alpha - beta (x - report)^2.  The expected squared
+    error is exact given the trial's efforts and participation: the
+    mis-specified aggregate is linear in the latent state and the noises,
+    each report weighted by c_m."""
+    var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
+    take = ~np.isnan(reports)
+    prediction = homogeneous_predict(contract, reports, prior, n_denominator)
+    payments = np.where(
+        take, contract.alpha - contract.beta * (x[:, None] - reports) ** 2, 0.0)
+    m = take.sum(axis=1)
+    den = prec + (m if n_denominator is None else n_denominator) * q_dag
+    b = np.where(take, efforts / (prec + efforts), 0.0)
+    w = np.where(take, efforts / (prec + efforts) ** 2, 0.0)
+    c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
+    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
+        + c_m ** 2 * w.sum(axis=1)
+    return prediction, payments, expected_sq
 
 
 # -- principal's exact expected payoff and the opt-out decision ----------------

@@ -73,6 +73,8 @@ def cmd_run(args) -> int:
             cfg = replace(cfg, output_path=args.output).validate()
         workers = (engine.default_workers() if args.workers is None
                    else args.workers)
+        if workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {workers}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ which mechanism guarantees apply, so it is checked numerically, not assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -28,36 +29,51 @@ class CostModel:
     support: Optional[Tuple[float, float]] = None  # optional theta domain for cost()
 
 
+def _linear_marginal(q, theta):
+    return np.asarray(theta, float) + 0.0 * np.asarray(q, float)
+
+
+def _linear_total(q, theta):
+    return np.asarray(q, float) * np.asarray(theta, float)
+
+
+def _quadratic_marginal(q, theta):
+    return np.asarray(theta, float) * np.asarray(q, float)
+
+
+def _quadratic_total(q, theta):
+    return 0.5 * np.asarray(theta, float) * np.asarray(q, float) ** 2
+
+
+def _quadrature_total(marginal: Callable, q, theta):
+    """C(q, theta) as the integral of the marginal from 0 to q, elementwise."""
+    def scalar(qv, tv):
+        if qv == 0:
+            return 0.0
+        val, _ = integrate.quad(lambda z: marginal(z, tv), 0.0, qv,
+                                epsabs=1e-12, epsrel=1e-12, limit=200)
+        return val
+    return np.vectorize(scalar, otypes=[float])(q, theta)
+
+
+# Cost models hold module-level functions (bound with functools.partial where
+# needed) so that a Scenario pickles and can be sent to worker processes.
+
 def linear_cost(support: Optional[Tuple[float, float]] = None) -> CostModel:
-    return CostModel(
-        kind=LINEAR,
-        marginal=lambda q, theta: np.asarray(theta, float) + 0.0 * np.asarray(q, float),
-        total=lambda q, theta: np.asarray(q, float) * np.asarray(theta, float),
-        support=support,
-    )
+    return CostModel(kind=LINEAR, marginal=_linear_marginal,
+                     total=_linear_total, support=support)
 
 
 def quadratic_cost(support: Optional[Tuple[float, float]] = None) -> CostModel:
-    return CostModel(
-        kind=QUADRATIC,
-        marginal=lambda q, theta: np.asarray(theta, float) * np.asarray(q, float),
-        total=lambda q, theta: 0.5 * np.asarray(theta, float) * np.asarray(q, float) ** 2,
-        support=support,
-    )
+    return CostModel(kind=QUADRATIC, marginal=_quadratic_marginal,
+                     total=_quadratic_total, support=support)
 
 
 def general_cost(marginal: Callable, total: Optional[Callable] = None,
                  support: Optional[Tuple[float, float]] = None) -> CostModel:
     """Cost model from an arbitrary marginal; total by quadrature if omitted."""
     if total is None:
-        def total(q, theta, _c=marginal):
-            def scalar(qv, tv):
-                if qv == 0:
-                    return 0.0
-                val, _ = integrate.quad(lambda z: _c(z, tv), 0.0, qv,
-                                        epsabs=1e-12, epsrel=1e-12, limit=200)
-                return val
-            return np.vectorize(scalar, otypes=[float])(q, theta)
+        total = functools.partial(_quadrature_total, marginal)
     return CostModel(kind=GENERAL, marginal=marginal, total=total, support=support)
 
 

@@ -1,27 +1,32 @@
 """Seeded Monte-Carlo experiment runner.
 
 One trial runs the full interaction: draw the latent state and agent types,
-collect type reports, hand out contracts, let agents exert effort and report
-estimates, let the principal predict, then settle payments.  Trials are
-simulated in vectorized chunks; every random quantity is read positionally
-from counter-based streams keyed by (master seed, N, purpose), so trial t is
-the same no matter how work is chunked or parallelized, and the same trial
-index shares its world draw across mechanisms (common random numbers).
+collect type reports and designate efforts, let agents observe and report
+estimates, let the principal predict and settle payments, then score the
+trial.  Every mechanism runs this one pipeline and supplies only its
+designate and settle steps.  Trials are simulated in vectorized chunks;
+every random quantity is read positionally from counter-based streams keyed
+by (master seed, N, purpose), so trial t is the same no matter how work is
+chunked or parallelized, and the same trial index shares its world draw
+across mechanisms (common random numbers).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import agents, benchmarks, mechanism, rng
-from .costs import LINEAR, QUADRATIC, cost, linear_cost, quadratic_cost
+from .costs import LINEAR, QUADRATIC, cost
 from .model import (NO_OBSERVATION, CostTypeDistribution, GaussianPrior,
-                    Scenario, TYPE_CLAMP)
+                    Scenario, TYPE_CLAMP, principal_bayes_risk)
 
 TRUTHFUL = "truthful"
 BEST_RESPONSE = "best-response"
@@ -33,7 +38,6 @@ METRICS = ("principal_payoff", "network_profit", "bayes_network_profit",
            "prediction_sq_error", "expected_sq_error", "total_payment",
            "total_cost", "positive_effort_count")
 
-
 @dataclass(frozen=True)
 class MechanismSpec:
     kind: str
@@ -44,10 +48,6 @@ class MechanismSpec:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.kind == "homogeneous" and self.theta_dagger is None:
             raise ValueError("homogeneous mechanism needs theta_dagger")
-
-    @property
-    def label(self) -> str:
-        return self.kind
 
 
 def homogeneous_spec(theta_dagger: float) -> MechanismSpec:
@@ -122,7 +122,18 @@ def normalize_payoff(raw, var0: float = 1.0):
     return np.asarray(raw, dtype=float) / var0 if np.ndim(raw) else raw / var0
 
 
-# -- per-chunk simulation ------------------------------------------------------
+# -- the trial pipeline --------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Cell:
+    """What every chunk of one (scenario, mechanism) cell shares; state is
+    the mechanism's per-cell setup (posted contract, general schedule)."""
+    scenario: Scenario
+    mech: MechanismSpec
+    seed: int
+    settings: EngineSettings
+    state: object = None
+
 
 def _draw_chunk(scenario: Scenario, seed: int, t0: int, t1: int,
                 settings: EngineSettings):
@@ -143,21 +154,6 @@ def _draw_chunk(scenario: Scenario, seed: int, t0: int, t1: int,
     return x, types, noise
 
 
-def _argmin_winner_batch(reported: np.ndarray, settings: EngineSettings,
-                         seed: int, n_agents: int, t0: int) -> np.ndarray:
-    winner = np.argmin(reported, axis=1)
-    if settings.tie_break == "seeded-random":
-        lowest = reported[np.arange(reported.shape[0]), winner]
-        tie_rows = np.flatnonzero((reported == lowest[:, None]).sum(axis=1) > 1)
-        if tie_rows.size:
-            u_all = rng.uniforms(seed, n_agents, rng.TIEBREAK,
-                                 reported.shape[0], t0)
-            for t in tie_rows:
-                winner[t] = mechanism.argmin_winner(
-                    reported[t], settings.tie_break, float(u_all[t]))
-    return winner
-
-
 def _observe(x: np.ndarray, efforts: np.ndarray, noise: np.ndarray,
              prior: GaussianPrior):
     """Observations and truthful (posterior-mean) estimate reports; agents
@@ -167,10 +163,9 @@ def _observe(x: np.ndarray, efforts: np.ndarray, noise: np.ndarray,
     obs = np.where(active, x[..., None] + noise / np.sqrt(safe_q),
                    NO_OBSERVATION)
     prec = prior.precision
-    reports = np.where(active,
-                       (prior.mu0 * prec + np.where(active, obs, 0.0) * efforts)
-                       / (prec + efforts),
-                       prior.mu0)
+    # idle agents' NaN observations are replaced by the prior mean
+    reports = np.where(active, (prior.mu0 * prec + obs * efforts)
+                       / (prec + efforts), prior.mu0)
     return obs, reports
 
 
@@ -193,283 +188,178 @@ def _finish_metrics(scenario: Scenario, x, types, efforts, prediction,
     }
 
 
-def _chunk_cope_linear(scenario, seed, t0, t1, settings):
-    prior = scenario.prior
-    dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
-    var0, prec, mu0 = prior.var0, prior.precision, prior.mu0
-    n = scenario.n_agents
-    x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
-    T = x.size
-    rows = np.arange(T)
-    reported = types.copy()
-    winner = _argmin_winner_batch(reported, settings, seed, n, t0)
-    th_w = reported[rows, winner]
-    g = 2.0 * th_w - lo
-    q_w = np.maximum(g ** -0.5 - prec, 0.0)
-    live = q_w > 0.0
-    efforts = np.zeros_like(reported)
-    efforts[rows, winner] = q_w
-    second = np.partition(reported, 1, axis=1)[:, 1] if n > 1 else \
-        np.full(T, np.inf)
-    tail = mechanism.linear_tail_closed(th_w, np.minimum(hi, second), lo, var0)
-    K = np.where(live, th_w / g, 0.0)
-    S = np.where(live, th_w * g ** -0.5, 0.0)
-    pi_w = np.where(live, th_w * q_w + tail, 0.0)
-    obs, est = _observe(x, efforts, noise, prior)
-    prediction = np.where(live, est[rows, winner], mu0)
-    payments = np.zeros_like(reported)
-    y_hat = est[rows, winner]
-    payments[rows, winner] = np.where(
-        live, pi_w - K * (x - y_hat) ** 2 + S, 0.0)
-    expected_sq = 1.0 / (prec + efforts.sum(axis=1))
-    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                              payments, expected_sq)
-    record = dict(x=x, types=types, reported_types=reported, efforts=efforts,
-                  observations=obs, reports=est, prediction=prediction,
-                  payments=payments)
-    return metrics, record
+# -- mechanisms: designate and settle steps ------------------------------------
+#
+# designate(cell, types, t0) -> (reported types, efforts, terms) and
+# settle(cell, x, obs, est, efforts, terms) -> (prediction, payments,
+# expected squared error, reports shown in the record).  The COPE steps
+# designate from the reported types; their terms are the transfer components
+# and designated efforts (pi, K, S, q), under linear cost the winners' pi, K
+# and S alone.
+
+def _designate_cope_linear(cell: _Cell, reported, t0):
+    dist, tie_break = cell.scenario.type_dist, cell.settings.tie_break
+    T, n = reported.shape
+    winner = mechanism.argmin_winner_batch(
+        reported, tie_break, rng.uniforms(cell.seed, n, rng.TIEBREAK, T, t0)
+        if tie_break == "seeded-random" else None)
+    terms = mechanism.linear_components_batch(
+        reported, winner, dist.theta_lo, dist.theta_hi, cell.scenario.prior.var0)
+    return reported, terms[3], terms
 
 
-def _chunk_cope_quadratic(scenario, seed, t0, t1, settings):
-    prior = scenario.prior
-    dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
-    var0, prec = prior.var0, prior.precision
-    x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
-    reported = types.copy()
-    pi, K, S, efforts = mechanism.quadratic_components_batch(
-        reported, lo, hi, var0)
-    obs, est = _observe(x, efforts, noise, prior)
-    prediction = mechanism.predict_batch(prior, est, efforts)
-    payments = pi - K * (x[:, None] - est) ** 2 + S
-    expected_sq = 1.0 / (prec + efforts.sum(axis=1))
-    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                              payments, expected_sq)
-    record = dict(x=x, types=types, reported_types=reported, efforts=efforts,
-                  observations=obs, reports=est, prediction=prediction,
-                  payments=payments)
-    return metrics, record
+def _designate_cope_quadratic(cell: _Cell, reported, t0):
+    dist = cell.scenario.type_dist
+    terms = mechanism.quadratic_components_batch(
+        reported, dist.theta_lo, dist.theta_hi, cell.scenario.prior.var0)
+    return reported, terms[3], terms
 
 
-def _chunk_cope_general(scenario, seed, t0, t1, settings):
-    prior = scenario.prior
-    dist = scenario.type_dist
-    var0, prec = prior.var0, prior.precision
-    x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
-    T = x.size
-    n = scenario.n_agents
-    model = scenario.cost_model
-    schedule = mechanism.general_schedule(model, dist, var0)
-    efforts = np.empty((T, n))
-    payments = np.empty((T, n))
-    pis = np.empty((T, n))
-    Ks = np.empty((T, n))
-    Ss = np.empty((T, n))
-    for t in range(T):
+def _designate_cope_general(cell: _Cell, reported, t0):
+    """Numeric schedule and transfers, one report vector at a time."""
+    scenario = cell.scenario
+    pi, K, S, q = (np.empty_like(reported) for _ in range(4))
+    for t, theta_hat in enumerate(reported):
         try:
-            rule = mechanism.payment_rule_general(model, schedule, dist,
-                                                  types[t], var0)
+            rule = mechanism.payment_rule_general(
+                scenario.cost_model, cell.state, scenario.type_dist,
+                theta_hat, scenario.prior.var0)
         except mechanism.SolverError as exc:
             raise mechanism.SolverError(
-                f"trial {t0 + t} (seed {seed}, N {n}): {exc}",
-                getattr(exc, "diagnostics", None))
-        efforts[t] = rule.efforts
-        pis[t], Ks[t], Ss[t] = rule.pi, rule.K, rule.S
-    obs, est = _observe(x, efforts, noise, prior)
-    prediction = mechanism.predict_batch(prior, est, efforts)
-    payments = pis - Ks * (x[:, None] - est) ** 2 + Ss
-    expected_sq = 1.0 / (prec + efforts.sum(axis=1))
-    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                              payments, expected_sq)
-    record = dict(x=x, types=types, reported_types=types.copy(),
-                  efforts=efforts, observations=obs, reports=est,
-                  prediction=prediction, payments=payments)
-    return metrics, record
+                f"trial {t0 + t} (seed {cell.seed}, N {scenario.n_agents}): "
+                f"{exc}", exc.diagnostics)
+        pi[t], K[t], S[t], q[t] = rule.pi, rule.K, rule.S, rule.efforts
+    return reported, q, (pi, K, S, q)
 
 
-def _chunk_centralized(scenario, seed, t0, t1, settings):
-    prior = scenario.prior
-    var0, prec, mu0 = prior.var0, prior.precision, prior.mu0
-    kind = scenario.cost_kind
-    x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
-    T = x.size
-    n = scenario.n_agents
-    rows = np.arange(T)
-    if kind == LINEAR:
-        efforts = np.zeros_like(types)
-        winner = np.argmin(types, axis=1)
-        th_w = types[rows, winner]
-        efforts[rows, winner] = np.maximum(th_w ** -0.5 - prec, 0.0)
+def _best_response(cell: _Cell, types, t0, designate):
+    """Best-response agents: each reports the oracle's best response to
+    truthful rivals, then exerts its best-response effort to the transfers
+    those reports set.  designate is the mechanism's own step; the principal
+    still settles on the efforts it designates."""
+    scenario, settings = cell.scenario, cell.settings
+    reported = np.array([[agents.best_response_type(
+        float(th), "cope", scenario, n_grid=settings.br_grid,
+        n_mc=settings.br_mc, seed=settings.br_seed).theta_star
+        for th in row] for row in types])
+    _, _, terms = designate(cell, reported, t0)
+    efforts = np.array([[agents.best_response_effort(
+        float(th), scenario, theta_hat=float(rep[i]),
+        theta_rest=np.delete(rep, i)) for i, th in enumerate(row)]
+        for row, rep in zip(types, reported)])
+    return reported, efforts, terms
+
+
+def _settle_cope(cell: _Cell, x, obs, est, efforts, terms):
+    pi, K, S, q = terms
+    prior = cell.scenario.prior
+    if cell.mech.kind == "cope-linear":
+        # only the winner is paid, and its report already is the posterior
+        # mean; pi, K and S are the winners' (0 where nobody is recruited)
+        rows, winner = np.arange(x.size), np.argmax(q, axis=1)
+        y = est[rows, winner]
+        prediction = np.where(q[rows, winner] > 0.0, y, prior.mu0)
+        payments = np.zeros_like(est)
+        payments[rows, winner] = pi - K * (x - y) ** 2 + S
     else:
-        b = (1.0 / types).sum(axis=1)
-        W = mechanism.cubic_root(prec, b)[:, None]
-        efforts = 1.0 / (types * W * W)
-    active = efforts > 0
-    safe_q = np.where(active, efforts, 1.0)
-    obs = np.where(active, x[:, None] + noise / np.sqrt(safe_q),
-                   NO_OBSERVATION)
-    # integrated planner reads the raw observations
-    num = mu0 * prec + np.where(active, obs * efforts, 0.0).sum(axis=1)
-    den = prec + efforts.sum(axis=1)
-    prediction = num / den
-    payments = np.zeros_like(types)
-    expected_sq = 1.0 / den
+        prediction = mechanism.predict_batch(prior, est, q)
+        payments = pi - K * (x[:, None] - est) ** 2 + S
+    return prediction, payments, principal_bayes_risk(prior, efforts), est
+
+
+def _designate_centralized(cell: _Cell, types, t0):
+    """The planner knows the types and assigns the first-best efforts."""
+    efforts = benchmarks.centralized_efforts(
+        types, cell.scenario.cost_kind, cell.scenario.prior.var0).efforts
+    return np.full_like(types, np.nan), efforts, None
+
+
+def _settle_centralized(cell: _Cell, x, obs, est, efforts, terms):
+    """The integrated planner reads the raw observations and pays nothing."""
+    prior = cell.scenario.prior
+    num = prior.mu0 * prior.precision + np.where(efforts > 0, obs * efforts,
+                                                 0.0).sum(axis=1)
+    den = prior.precision + efforts.sum(axis=1)
+    return num / den, np.zeros_like(efforts), 1.0 / den, obs
+
+
+def _designate_homogeneous(cell: _Cell, types, t0):
+    """Agents who take the posted contract best-respond to its reward; terms
+    are who takes it."""
+    contract, posted, _ = cell.state
     nan = np.full_like(types, np.nan)
-    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                              payments, expected_sq)
-    record = dict(x=x, types=types, reported_types=nan, efforts=efforts,
-                  observations=obs, reports=obs, prediction=prediction,
-                  payments=payments)
-    return metrics, record
+    if not posted:
+        return nan, np.zeros_like(types), np.zeros(types.shape, dtype=bool)
+    q_best, take = benchmarks.homogeneous_response_batch(
+        types, contract, cell.scenario.cost_kind, cell.scenario.prior.var0)
+    return nan, np.where(take, q_best, 0.0), take
 
 
-def _homogeneous_cell_state(scenario: Scenario, mech: MechanismSpec,
-                            settings: EngineSettings):
-    contract = benchmarks.homogeneous_contract(
-        mech.theta_dagger, scenario.n_agents, scenario.cost_kind,
-        scenario.prior.var0)
-    n_den = scenario.n_agents if settings.hom_denominator == "full-n" else None
-    use_mech, expected = benchmarks.homogeneous_fallback(
-        contract, scenario.type_dist, scenario.prior, scenario.n_agents,
-        scenario.cost_kind, n_den)
-    return contract, use_mech
-
-
-def _chunk_homogeneous(scenario, seed, t0, t1, settings, cell_state):
-    prior = scenario.prior
-    var0, prec, mu0 = prior.var0, prior.precision, prior.mu0
-    kind = scenario.cost_kind
-    contract, use_mech = cell_state
-    x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
-    T = x.size
-    n = scenario.n_agents
-    nan = np.full_like(types, np.nan)
-    if not use_mech or contract.q_dagger <= 0.0:
+def _settle_homogeneous(cell: _Cell, x, obs, est, efforts, take):
+    prior = cell.scenario.prior
+    contract, posted, n_den = cell.state
+    reports = np.where(take, est, np.nan)   # only participants file a report
+    if not posted:
         # principal opts out: predict the prior mean, pay nothing
-        efforts = np.zeros_like(types)
-        payments = np.zeros_like(types)
-        prediction = np.full(T, mu0)
-        expected_sq = np.full(T, var0)
+        return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
+            np.full(x.size, prior.var0), reports
+    return (*benchmarks.homogeneous_settle_batch(
+        contract, x, reports, efforts, prior, n_den), reports)
+
+
+_STEPS = {
+    "cope-linear": (_designate_cope_linear, _settle_cope),
+    "cope-quadratic": (_designate_cope_quadratic, _settle_cope),
+    "cope-general": (_designate_cope_general, _settle_cope),
+    "centralized": (_designate_centralized, _settle_centralized),
+    "homogeneous": (_designate_homogeneous, _settle_homogeneous),
+}
+
+
+def _cell_state(scenario: Scenario, mech: MechanismSpec,
+                settings: EngineSettings):
+    """Per-cell setup: the posted contract, whether the principal posts it at
+    all (its exact expected payoff beats opting out and the designed effort
+    is positive) and the predictor's fixed denominator; or the general-cost
+    schedule."""
+    prior, n, kind = scenario.prior, scenario.n_agents, scenario.cost_kind
+    if mech.kind == "homogeneous":
+        contract = benchmarks.homogeneous_contract(mech.theta_dagger, n, kind,
+                                                   prior.var0)
+        n_den = n if settings.hom_denominator == "full-n" else None
+        use_mech, _ = benchmarks.homogeneous_fallback(
+            contract, scenario.type_dist, prior, n, kind, n_den)
+        return contract, use_mech and contract.q_dagger > 0.0, n_den
+    if mech.kind == "cope-general":
+        return mechanism.general_schedule(scenario.cost_model,
+                                          scenario.type_dist, prior.var0)
+    return None
+
+
+def _chunks(scenario: Scenario, mech: MechanismSpec, seed: int, t_lo: int,
+            t_hi: int, settings: EngineSettings, best_response: bool = False
+            ) -> Iterator[Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]]:
+    """Run trials [t_lo, t_hi) in chunks through the one pipeline: draw,
+    designate, observe, settle, score.  Yields each chunk's (metrics,
+    record)."""
+    cell = _Cell(scenario, mech, seed, settings,
+                 _cell_state(scenario, mech, settings))
+    designate, settle = _STEPS[mech.kind]
+    for t0 in range(t_lo, t_hi, settings.chunk_size):
+        t1 = min(t0 + settings.chunk_size, t_hi)
+        x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
+        reported, efforts, terms = (
+            _best_response(cell, types, t0, designate) if best_response
+            else designate(cell, types, t0))
+        obs, est = _observe(x, efforts, noise, scenario.prior)
+        prediction, payments, expected_sq, reports = settle(
+            cell, x, obs, est, efforts, terms)
         metrics = _finish_metrics(scenario, x, types, efforts, prediction,
                                   payments, expected_sq)
-        record = dict(x=x, types=types, reported_types=nan, efforts=efforts,
-                      observations=nan, reports=nan, prediction=prediction,
-                      payments=payments)
-        return metrics, record
-    q_best, take = benchmarks.homogeneous_response_batch(types, contract,
-                                                         kind, var0)
-    efforts = np.where(take, q_best, 0.0)
-    obs, est = _observe(x, efforts, noise, prior)
-    est = np.where(take, est, mu0)      # only participants file a report
-    q_dag = contract.q_dagger
-    g = est + (est - mu0) * (prec / q_dag)
-    m_count = take.sum(axis=1)
-    denom_n = np.full(T, n) if settings.hom_denominator == "full-n" else m_count
-    den = prec + denom_n * q_dag
-    den_safe = np.where(den > 0, den, 1.0)
-    num = mu0 * prec + q_dag * np.where(take, g, 0.0).sum(axis=1)
-    prediction = np.where(m_count > 0, num / den_safe, mu0)
-    payments = np.where(take,
-                        contract.alpha - contract.beta * (x[:, None] - est) ** 2,
-                        0.0)
-    # exact expected squared error given this trial's efforts/participation:
-    # the mis-specified aggregate is linear in the latent state and noises
-    b = np.where(take, efforts / (prec + efforts), 0.0)
-    w = np.where(take, efforts / (prec + efforts) ** 2, 0.0)
-    c_m = np.where(m_count > 0, (q_dag + prec) / den_safe, 0.0)
-    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
-        + c_m ** 2 * w.sum(axis=1)
-    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                              payments, expected_sq)
-    obs_masked = np.where(take, obs, np.nan)
-    record = dict(x=x, types=types, reported_types=nan, efforts=efforts,
-                  observations=obs_masked,
-                  reports=np.where(take, est, np.nan), prediction=prediction,
-                  payments=payments)
-    return metrics, record
-
-
-def _simulate_chunk(scenario, mech: MechanismSpec, seed, t0, t1, settings,
-                    cell_state=None):
-    if mech.kind == "cope-linear":
-        return _chunk_cope_linear(scenario, seed, t0, t1, settings)
-    if mech.kind == "cope-quadratic":
-        return _chunk_cope_quadratic(scenario, seed, t0, t1, settings)
-    if mech.kind == "cope-general":
-        return _chunk_cope_general(scenario, seed, t0, t1, settings)
-    if mech.kind == "centralized":
-        return _chunk_centralized(scenario, seed, t0, t1, settings)
-    if mech.kind == "homogeneous":
-        if cell_state is None:
-            cell_state = _homogeneous_cell_state(scenario, mech, settings)
-        return _chunk_homogeneous(scenario, seed, t0, t1, settings, cell_state)
-    raise ValueError(f"unknown mechanism kind {mech.kind!r}")
-
-
-# -- best-response agent mode (slow, verification only) ------------------------
-
-def _best_response_trial(scenario, mech: MechanismSpec, seed, t, settings):
-    if mech.kind == "cope-general":
-        raise ValueError(
-            "best-response mode needs the closed-form payment path; "
-            "cope-general is not supported")
-    if mech.kind == "centralized":
-        # no strategic agents; identical to the truthful pipeline
-        return _simulate_chunk(scenario, mech, seed, t, t + 1, settings)
-    prior = scenario.prior
-    var0, prec, mu0 = prior.var0, prior.precision, prior.mu0
-    dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
-    kind = scenario.cost_kind
-    n = scenario.n_agents
-    x_arr, types, noise = _draw_chunk(scenario, seed, t, t + 1, settings)
-    x = float(x_arr[0])
-    th = types[0]
-    eps = noise[0]
-    if mech.kind == "homogeneous":
-        cell_state = _homogeneous_cell_state(scenario, mech, settings)
-        return _chunk_homogeneous(scenario, seed, t, t + 1, settings,
-                                  cell_state)
-    # COPE: every agent reports the oracle-derived best response to rivals
-    reported = np.empty(n)
-    for i in range(n):
-        br = agents.best_response_type(float(th[i]), "cope", scenario,
-                                       n_grid=settings.br_grid,
-                                       n_mc=settings.br_mc,
-                                       seed=settings.br_seed)
-        reported[i] = br.theta_star
-    if kind == LINEAR:
-        rule = mechanism.payment_rule_linear(reported, lo, hi, var0,
-                                             settings.tie_break)
-    else:
-        rule = mechanism.payment_rule_quadratic(reported, lo, hi, var0)
-    efforts = np.array([
-        agents.best_response_effort(float(th[i]), scenario,
-                                    theta_hat=float(reported[i]),
-                                    theta_rest=np.delete(reported, i))
-        for i in range(n)])
-    active = efforts > 0
-    safe_q = np.where(active, efforts, 1.0)
-    obs = np.where(active, x + eps / np.sqrt(safe_q), NO_OBSERVATION)
-    est = np.array([
-        agents.truthful_report_obs(obs[i] if active[i] else mu0,
-                                   efforts[i], prior)
-        for i in range(n)])
-    est = np.where(active, est, mu0)
-    # the principal prices accuracy against the designated efforts
-    prediction = mechanism.predict(prior, est, rule.efforts)
-    payments = rule.realized(x, est)
-    expected_sq = np.array([1.0 / (prec + efforts.sum())])
-    metrics = _finish_metrics(scenario, np.array([x]), types,
-                              efforts[None, :], np.array([prediction]),
-                              payments[None, :], expected_sq)
-    record = dict(x=np.array([x]), types=types,
-                  reported_types=reported[None, :], efforts=efforts[None, :],
-                  observations=obs[None, :], reports=est[None, :],
-                  prediction=np.array([prediction]),
-                  payments=payments[None, :])
-    return metrics, record
+        yield metrics, dict(x=x, types=types, reported_types=reported,
+                            efforts=efforts, observations=obs,
+                            reports=reports, prediction=prediction,
+                            payments=payments)
 
 
 # -- public entry points -------------------------------------------------------
@@ -478,26 +368,26 @@ def run_trial(scenario: Scenario, mech: MechanismSpec, agent_mode: str,
               seed: int, trial_index: int = 0,
               settings: EngineSettings = EngineSettings()) -> TrialRecord:
     """One fully-resolved trial; trial_index addresses the same draws the
-    batched runner would use, so a record here equals the batch row."""
+    batched runner would use, so a record here equals the batch row.
+
+    In best-response mode COPE agents pick their reports and efforts with the
+    numeric oracles (slow, verification only).  The planner has no strategic
+    agents and posted-contract agents always best-respond, so those two
+    mechanisms run as in truthful mode."""
     check_pairing(scenario, mech)
-    if agent_mode == TRUTHFUL:
-        metrics, rec = _simulate_chunk(scenario, mech, seed, trial_index,
-                                       trial_index + 1, settings)
-    elif agent_mode == BEST_RESPONSE:
-        metrics, rec = _best_response_trial(scenario, mech, seed, trial_index,
-                                            settings)
-    else:
+    if agent_mode not in (TRUTHFUL, BEST_RESPONSE):
         raise ValueError(f"unknown agent mode {agent_mode!r}")
-    return TrialRecord(
-        x=float(rec["x"][0]), types=rec["types"][0],
-        reported_types=rec["reported_types"][0], efforts=rec["efforts"][0],
-        observations=rec["observations"][0], reports=rec["reports"][0],
-        prediction=float(rec["prediction"][0]), payments=rec["payments"][0],
-        principal_payoff=float(metrics["principal_payoff"][0]),
-        network_profit=float(metrics["network_profit"][0]),
-        prediction_sq_error=float(metrics["prediction_sq_error"][0]),
-        bayes_network_profit=float(metrics["bayes_network_profit"][0]),
-        expected_sq_error=float(metrics["expected_sq_error"][0]))
+    best_response = agent_mode == BEST_RESPONSE and mech.kind.startswith("cope")
+    if best_response and mech.kind == "cope-general":
+        raise ValueError("best-response mode needs the closed-form payment "
+                         "path; cope-general is not supported")
+    metrics, rec = next(_chunks(scenario, mech, seed, trial_index,
+                                trial_index + 1, settings, best_response))
+    fields = {k: v[0] for k, v in rec.items()}
+    fields.update({k: float(fields[k]) for k in ("x", "prediction")})
+    fields.update({k: float(metrics[k][0]) for k in METRICS
+                   if k in TrialRecord.__annotations__})
+    return TrialRecord(**fields)
 
 
 def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
@@ -506,16 +396,8 @@ def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
     """Per-trial metric arrays for n_trials truthful trials (chunked
     internally; concatenated output)."""
     check_pairing(scenario, mech)
-    cell_state = _homogeneous_cell_state(scenario, mech, settings) \
-        if mech.kind == "homogeneous" else None
-    parts: List[Dict[str, np.ndarray]] = []
-    t = trial_offset
-    while t < trial_offset + n_trials:
-        t_hi = min(t + settings.chunk_size, trial_offset + n_trials)
-        metrics, _ = _simulate_chunk(scenario, mech, seed, t, t_hi, settings,
-                                     cell_state)
-        parts.append(metrics)
-        t = t_hi
+    parts = [metrics for metrics, _ in _chunks(
+        scenario, mech, seed, trial_offset, trial_offset + n_trials, settings)]
     return {k: np.concatenate([p[k] for p in parts]) for k in METRICS}
 
 
@@ -530,10 +412,7 @@ class _Moments:
         self.mx = -np.inf
 
     def update(self, v: np.ndarray) -> None:
-        v = np.asarray(v, dtype=float)
         nb = v.size
-        if nb == 0:
-            return
         mb = float(v.mean())
         m2b = float(((v - mb) ** 2).sum())
         n = self.n + nb
@@ -555,38 +434,15 @@ class _Moments:
 
 def _run_cell(scenario: Scenario, mech: MechanismSpec, seed: int,
               n_trials: int, settings: EngineSettings) -> ExperimentResult:
-    check_pairing(scenario, mech)
-    cell_state = _homogeneous_cell_state(scenario, mech, settings) \
-        if mech.kind == "homogeneous" else None
+    """One sweep cell, its chunks reduced to metric moments."""
     acc = {k: _Moments() for k in METRICS}
-    t = 0
-    while t < n_trials:
-        t_hi = min(t + settings.chunk_size, n_trials)
-        metrics, _ = _simulate_chunk(scenario, mech, seed, t, t_hi, settings,
-                                     cell_state)
+    for metrics, _ in _chunks(scenario, mech, seed, 0, n_trials, settings):
         for k in METRICS:
             acc[k].update(metrics[k])
-        t = t_hi
     return ExperimentResult(
-        mechanism=mech.label, cost=scenario.cost_kind,
+        mechanism=mech.kind, cost=scenario.cost_kind,
         n_agents=scenario.n_agents, theta_dagger=mech.theta_dagger,
         n_trials=n_trials, stats={k: acc[k].stat() for k in METRICS})
-
-
-def _run_cell_from_primitives(spec: dict) -> ExperimentResult:
-    prior = GaussianPrior(spec["mu0"], spec["var0"])
-    dist = CostTypeDistribution.uniform(spec["theta_lo"], spec["theta_hi"])
-    model = linear_cost() if spec["cost_kind"] == LINEAR else quadratic_cost()
-    scenario = Scenario(prior=prior, type_dist=dist,
-                        n_agents=spec["n_agents"], cost_model=model)
-    mech = MechanismSpec(spec["mech_kind"], spec["theta_dagger"])
-    return _run_cell(scenario, mech, spec["seed"], spec["n_trials"],
-                     spec["settings"])
-
-
-def _portable(scenario: Scenario) -> bool:
-    return (scenario.type_dist.kind == "uniform"
-            and scenario.cost_kind in (LINEAR, QUADRATIC))
 
 
 def default_workers() -> int:
@@ -608,36 +464,33 @@ def run_experiment(prior: GaussianPrior, type_dist: CostTypeDistribution,
                    progress=None) -> List[ExperimentResult]:
     """Full sweep: one cell per (N, mechanism), trial draws split from the
     master seed per cell, identical trial indices share world draws across
-    mechanisms at the same N.  Cells run in parallel when possible; results
-    are deterministic regardless of worker count."""
+    mechanisms at the same N.  With more than one worker the cells run in
+    worker processes, so the scenario must pickle (ValueError otherwise);
+    results are deterministic regardless of worker count."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    cells = [(n, mech) for n in n_agents_list for mech in mechanisms]
     scenarios = {n: Scenario(prior=prior, type_dist=type_dist, n_agents=n,
                              cost_model=cost_model) for n in n_agents_list}
-    for n, mech in cells:
-        check_pairing(scenarios[n], mech)
+    cells = [(scenarios[n], mech) for n in n_agents_list for mech in mechanisms]
+    for scenario, mech in cells:
+        check_pairing(scenario, mech)
     workers = default_workers() if n_workers is None else max(1, n_workers)
-    portable = all(_portable(s) for s in scenarios.values())
-    results: List[Optional[ExperimentResult]] = [None] * len(cells)
-    if workers > 1 and portable and len(cells) > 1:
-        specs = []
-        for n, mech in cells:
-            specs.append(dict(
-                mu0=prior.mu0, var0=prior.var0,
-                theta_lo=type_dist.theta_lo, theta_hi=type_dist.theta_hi,
-                cost_kind=scenarios[n].cost_kind, n_agents=n,
-                mech_kind=mech.kind, theta_dagger=mech.theta_dagger,
-                seed=master_seed, n_trials=n_trials, settings=settings))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(_run_cell_from_primitives, specs)):
-                results[i] = res
-                if progress:
-                    progress(i + 1, len(cells), res)
-    else:
-        for i, (n, mech) in enumerate(cells):
-            results[i] = _run_cell(scenarios[n], mech, master_seed, n_trials,
-                                   settings)
+    if workers > 1:
+        try:
+            pickle.dumps(scenarios)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                f"{workers} workers need a scenario that pickles: build its "
+                "cost model and type distribution from module-level "
+                f"functions ({exc})") from None
+    parallel = workers > 1 and len(cells) > 1
+    results: List[ExperimentResult] = []
+    with (ProcessPoolExecutor(max_workers=workers) if parallel
+          else contextlib.nullcontext()) as pool:
+        for res in (pool.map if parallel else map)(
+                _run_cell, [s for s, _ in cells], [m for _, m in cells],
+                repeat(master_seed), repeat(n_trials), repeat(settings)):
+            results.append(res)
             if progress:
-                progress(i + 1, len(cells), results[i])
+                progress(len(results), len(cells), res)
     return results

@@ -11,8 +11,9 @@ the total precision for arbitrary regular cost models.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from scipy import integrate, optimize  # noqa: F401
 
 from . import costs as costs_mod
 from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta
-from .model import CostTypeDistribution, GaussianPrior
+from .model import (CostTypeDistribution, GaussianPrior, agent_bayes_risk,
+                    agent_bayes_risk_deriv)
 
 
 class SolverError(RuntimeError):
@@ -55,6 +57,28 @@ def argmin_winner(theta_hat: np.ndarray, tie_break: str = "lowest-index",
     return int(ties[min(int(tie_uniform * ties.size), ties.size - 1)])
 
 
+def argmin_winner_batch(theta_hat: np.ndarray, tie_break: str = "lowest-index",
+                        tie_uniforms: Optional[np.ndarray] = None) -> np.ndarray:
+    """argmin_winner for every row of a (T, N) report array; row t breaks a
+    tie with the uniform draw tie_uniforms[t]."""
+    winner = np.argmin(theta_hat, axis=1)
+    if tie_break == "lowest-index" or tie_uniforms is None:
+        return winner
+    lowest = theta_hat[np.arange(theta_hat.shape[0]), winner]
+    for t in np.flatnonzero((theta_hat == lowest[:, None]).sum(axis=1) > 1):
+        winner[t] = argmin_winner(theta_hat[t], tie_break,
+                                  float(tie_uniforms[t]))
+    return winner
+
+
+def _virtual_costs(theta_hat, theta_lo: float) -> np.ndarray:
+    """Uniform-type virtual costs 2*theta_hat - theta_lo, all positive."""
+    gamma = 2.0 * np.asarray(theta_hat, dtype=float) - theta_lo
+    if np.any(gamma <= 0):
+        raise ValueError("virtual cost must be positive for every report")
+    return gamma
+
+
 def effort_linear(theta_hat, theta_lo: float, var0: float,
                   tie_break: str = "lowest-index",
                   tie_uniform: Optional[float] = None) -> np.ndarray:
@@ -63,23 +87,9 @@ def effort_linear(theta_hat, theta_lo: float, var0: float,
     theta_hat = np.asarray(theta_hat, dtype=float)
     winner = argmin_winner(theta_hat, tie_break, tie_uniform)
     q = np.zeros_like(theta_hat)
-    gamma = 2.0 * theta_hat[winner] - theta_lo
-    if gamma <= 0:
-        raise ValueError(f"virtual cost must be positive, got {gamma}")
+    gamma = _virtual_costs(theta_hat, theta_lo)[winner]
     q[winner] = max(gamma ** -0.5 - 1.0 / var0, 0.0)
     return q
-
-
-@dataclass(frozen=True)
-class CubicSolution:
-    W: float
-    lam: float
-
-    def residual(self, theta_hat, theta_lo: float, var0: float) -> float:
-        theta_hat = np.asarray(theta_hat, dtype=float)
-        b = float(np.sum(1.0 / (2.0 * theta_hat - theta_lo)))
-        a = 1.0 / var0
-        return abs(self.W ** 3 - a * self.W ** 2 - b) / max(1.0, self.W ** 3)
 
 
 def cubic_root(a, b):
@@ -112,30 +122,21 @@ def cubic_root(a, b):
     return W
 
 
-def _virtual_cost_sum(theta_hat: np.ndarray, theta_lo: float) -> float:
-    gamma = 2.0 * theta_hat - theta_lo
-    if np.any(gamma <= 0):
-        raise ValueError("virtual cost must be positive for every report")
-    return float(np.sum(1.0 / gamma))
-
-
-def solve_W(theta_hat, theta_lo: float, var0: float) -> CubicSolution:
-    """Aggregate-precision root for the quadratic-cost schedule."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    b = _virtual_cost_sum(theta_hat, theta_lo)
+def solve_W(theta_hat, theta_lo: float, var0: float) -> float:
+    """Aggregate-precision root W for the quadratic-cost schedule."""
+    b = float(np.sum(1.0 / _virtual_costs(theta_hat, theta_lo)))
     a = 1.0 / var0
     if a == 0.0 and b == 0.0:
         raise ValueError("degenerate cubic: no positive root")
-    lam = a ** 3 * b / 27.0 + b * b / 4.0
-    return CubicSolution(W=float(cubic_root(a, b)), lam=float(lam))
+    return float(cubic_root(a, b))
 
 
 def effort_quadratic(theta_hat, theta_lo: float, var0: float) -> np.ndarray:
     """Designated efforts under quadratic cost: q_n = 1/(gamma_n W^2), all
     strictly positive."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    sol = solve_W(theta_hat, theta_lo, var0)
-    return 1.0 / ((2.0 * theta_hat - theta_lo) * sol.W ** 2)
+    W = solve_W(theta_hat, theta_lo, var0)
+    return 1.0 / ((2.0 * theta_hat - theta_lo) * W ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +155,6 @@ class PaymentRule:
     K: np.ndarray
     S: np.ndarray
     efforts: np.ndarray
-    loss: str = "squared"
-
-    def realized(self, x, reports) -> np.ndarray:
-        reports = np.asarray(reports, dtype=float)
-        return self.pi - self.K * (np.asarray(x, dtype=float) - reports) ** 2 + self.S
 
 
 def linear_effort_at(z, theta_lo: float, var0: float):
@@ -221,8 +217,9 @@ def linear_tail_closed(a, b, theta_lo: float, var0: float) -> np.ndarray:
 def linear_pi_closed(theta_hat_win, tail_upper, theta_lo: float,
                      var0: float) -> np.ndarray:
     """Closed form of the winner's payment given the effective tail upper
-    limit (min of theta_hi and the lowest rival report); fast path verified
-    against linear_pi_quad in tests.  Vectorized."""
+    limit (min of theta_hi and the lowest rival report), 0 where the
+    designated effort is 0; fast path verified against linear_pi_quad in
+    tests.  Vectorized."""
     th = np.asarray(theta_hat_win, dtype=float)
     q = linear_effort_at(th, theta_lo, var0)
     return th * q + np.where(q > 0,
@@ -230,30 +227,26 @@ def linear_pi_closed(theta_hat_win, tail_upper, theta_lo: float,
                              0.0)
 
 
-def linear_pi_doubled_tail(theta_hat_win: float, theta_lo: float,
-                           theta_hi: float, var0: float) -> float:
-    """Alternative closed form that doubles the tail term.  It disagrees with
-    the integral of the clamped schedule (the antiderivative of
-    (2z - theta_lo)^(-1/2) is (2z - theta_lo)^(1/2), without a 2); kept only
-    as a diagnostic."""
-    th = float(theta_hat_win)
-    prec = 1.0 / var0
-    g = 2.0 * th - theta_lo
-    q = max(g ** -0.5 - prec, 0.0)
-    m = min(theta_hi, linear_clamp_point(theta_lo, var0))
-    tail = (math.sqrt(2.0 * m - theta_lo) - math.sqrt(g) - prec * (m - th)) if th < m else 0.0
-    return th * q + 2.0 * tail
-
-
-def linear_pi_diagnostic(theta_hat_win: float, theta_lo: float, theta_hi: float,
-                         var0: float) -> dict:
-    """Report the discrepancy between the quadrature value (full tail, no
-    rival cutoff, to match the rival-independent closed form) and the
-    doubled-tail closed form."""
-    quad_val = linear_pi_quad(theta_hat_win, (), theta_lo, theta_hi, var0)
-    doubled = linear_pi_doubled_tail(theta_hat_win, theta_lo, theta_hi, var0)
-    return {"quadrature": quad_val, "doubled_tail": doubled,
-            "abs_diff": abs(quad_val - doubled)}
+def linear_components_batch(theta_hat: np.ndarray, winner: np.ndarray,
+                            theta_lo: float, theta_hi: float, var0: float
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For a (T, N) report array with winner[t] the recruited agent of row t:
+    the winners' (pi, K, S), each of shape (T,) and 0 where the designated
+    effort is 0, and every agent's designated effort.  Only the winner is
+    paid, and its rent tail runs up to the second-lowest report.  Fast path
+    used by the simulation engine."""
+    T, n = theta_hat.shape
+    rows = np.arange(T)
+    th_w = theta_hat[rows, winner]
+    g = 2.0 * th_w - theta_lo
+    q = np.zeros_like(theta_hat)
+    q[rows, winner] = q_w = linear_effort_at(th_w, theta_lo, var0)
+    live = q_w > 0.0
+    second = np.partition(theta_hat, 1, axis=1)[:, 1] if n > 1 else \
+        np.full(T, np.inf)
+    pi = linear_pi_closed(th_w, np.minimum(theta_hi, second), theta_lo, var0)
+    return (pi, np.where(live, th_w / g, 0.0),
+            np.where(live, th_w * g ** -0.5, 0.0), q)
 
 
 def payment_rule_linear(theta_hat, theta_lo: float, theta_hi: float,
@@ -292,9 +285,7 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
     quadrature; every node re-solves the cubic with that agent's report
     replaced by the integration variable."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    gamma = 2.0 * theta_hat - theta_lo
-    if np.any(gamma <= 0):
-        raise ValueError("virtual cost must be positive for every report")
+    gamma = _virtual_costs(theta_hat, theta_lo)
     s_rest = float(np.sum(1.0 / gamma)) - 1.0 / gamma[agent]
     a = 1.0 / var0
 
@@ -362,10 +353,7 @@ def quadratic_components_batch(theta_hat: np.ndarray, theta_lo: float,
     """(pi, K, S, efforts) for every agent, vectorized over leading dims of a
     (..., N) report array.  Fast path used by the simulation engine."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    gamma = 2.0 * theta_hat - theta_lo
-    if np.any(gamma <= 0):
-        raise ValueError("virtual cost must be positive for every report")
-    inv_gamma = 1.0 / gamma
+    inv_gamma = 1.0 / _virtual_costs(theta_hat, theta_lo)
     s_total = inv_gamma.sum(axis=-1, keepdims=True)
     a = 1.0 / var0
     W = cubic_root(a, s_total)                        # (..., 1)
@@ -413,7 +401,8 @@ def _virtual_marginal(model: CostModel, q: np.ndarray, theta: np.ndarray,
 #: |vm(q) - lam| <= _TOL * lam, the total precision once the Newton step in
 #: lam = 1/P^2 is below _TOL * lam
 _TOL = 1e-10
-#: bound on the projected gradient of the returned efforts
+#: bound on the projected gradient of the returned efforts, relative to the
+#: marginal value of precision 1/P^2 once that exceeds 1
 _PG_TOL = 1e-9
 _MAX_ITER = 200
 _EPS = float(np.finfo(float).eps)
@@ -501,7 +490,8 @@ def effort_general(model: CostModel, type_dist: CostTypeDistribution,
 
     Raises SolverError when no finite optimum exists (effort that costs
     nothing at the margin) or the projected gradient of the result exceeds
-    1e-9; its diagnostics carry P and the iteration counts.
+    1e-9 * max(1, 1/P^2), the scale of the virtual marginal cost at the
+    optimum; its diagnostics carry P and the iteration counts.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     n = theta_hat.size
@@ -585,7 +575,7 @@ def effort_general(model: CostModel, type_dist: CostTypeDistribution,
     P = prec + float(q.sum())
     g = _virtual_marginal(model, q, theta_hat, inv_hazard) - 1.0 / (P * P)
     pg_norm = float(np.linalg.norm(np.where(q > 1e-14, g, np.minimum(g, 0.0))))
-    if not pg_norm <= _PG_TOL:
+    if not pg_norm <= _PG_TOL * max(1.0, 1.0 / (P * P)):
         diag = diagnostics(q, P)
         diag["pg_norm"] = pg_norm
         diag["objective"] = -1.0 / P - float(
@@ -637,17 +627,13 @@ def payment_rule_general(model: CostModel, schedule: "EffortSchedule",
     type-derivative of the total cost along the schedule.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    prec = 1.0 / var0
-    if agent_risk is None:
-        agent_risk = lambda q: 1.0 / (prec + q)
-    if agent_risk_deriv is None:
-        agent_risk_deriv = lambda q: -1.0 / (prec + q) ** 2
+    prior = GaussianPrior(0.0, var0)
+    agent_risk = agent_risk or functools.partial(agent_bayes_risk, prior)
+    agent_risk_deriv = agent_risk_deriv or functools.partial(
+        agent_bayes_risk_deriv, prior)
 
     n = theta_hat.size
-    pi = np.zeros(n)
-    K = np.zeros(n)
-    S = np.zeros(n)
-    efforts = np.zeros(n)
+    pi, K, S, efforts = (np.zeros(n) for _ in range(4))
     for i in range(n):
         rest = np.delete(theta_hat, i)
         Q = schedule.eval(float(theta_hat[i]), rest)

@@ -3,8 +3,8 @@
 A latent state x ~ N(mu0, var0) is observed by agents through Gaussian noise
 whose precision equals the effort they exert: y = x + eps/sqrt(q).  Agents
 carry a private cost type theta drawn i.i.d. from a distribution on
-[theta_lo, theta_hi].  This module owns the prior, the type distribution, the
-posterior update, and the seeded draws.
+[theta_lo, theta_hi].  This module owns the prior, the type distribution and
+the posterior update; the engine draws the states, types and noise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import rng
 from .costs import CostModel
 
 #: sentinel for "no observation" (zero effort buys an uninformative signal)
@@ -23,10 +22,6 @@ NO_OBSERVATION = math.nan
 
 #: lower clamp applied to type draws so 1/theta stays finite in benchmarks
 TYPE_CLAMP = 1e-12
-
-
-def is_no_observation(value: float) -> bool:
-    return math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -147,43 +142,6 @@ class Scenario:
     @property
     def cost_kind(self) -> str:
         return self.cost_model.kind
-
-
-@dataclass(frozen=True)
-class Observation:
-    value: float
-    effort: float
-
-    def __post_init__(self):
-        if self.effort < 0:
-            raise ValueError(f"effort must be >= 0, got {self.effort}")
-
-
-# -- seeded draws -----------------------------------------------------------
-
-def draw_world(scenario: Scenario, seed: int, trial_index: int = 0
-               ) -> Tuple[float, np.ndarray]:
-    """Draw (x, types) for one trial.  Deterministic in (scenario, seed,
-    trial_index); trial_index selects the position in the keyed streams, so a
-    single trial can be reproduced out of a batch."""
-    n = scenario.n_agents
-    x = scenario.prior.mu0 + math.sqrt(scenario.prior.var0) * \
-        rng.normals(seed, n, rng.WORLD, 1, offset=trial_index)[0]
-    u = rng.uniforms(seed, n, rng.TYPES, n, offset=trial_index * n)
-    types = np.clip(scenario.type_dist.ppf(u),
-                    scenario.type_dist.theta_lo + TYPE_CLAMP,
-                    scenario.type_dist.theta_hi)
-    return float(x), types
-
-
-def draw_observation(x: float, effort: float, seed: int, offset: int = 0) -> float:
-    """y = x + eps/sqrt(effort); sentinel when effort is 0."""
-    if effort < 0:
-        raise ValueError(f"effort must be >= 0, got {effort}")
-    if effort == 0:
-        return NO_OBSERVATION
-    eps = rng.normals(seed, 1, rng.NOISE, 1, offset=offset)[0]
-    return float(x + eps / math.sqrt(effort))
 
 
 # -- posterior --------------------------------------------------------------

@@ -186,12 +186,9 @@ def suite_bic(cost_kind: str = LINEAR, seed: int = 0, n_instances: int = 20,
                 f"theta*={br.theta_star:.4f} (seed {seed + inst})"
         rest = np.clip(gen.uniform(0.0, 1.0, n - 1), TYPE_CLAMP, 1.0)
         q_br = agents.best_response_effort(theta, scen, theta_rest=rest)
-        if cost_kind == LINEAR:
-            reports = np.concatenate([[theta], rest])
-            q_des = mechanism.effort_linear(reports, 0.0, 1.0)[0]
-        else:
-            reports = np.concatenate([[theta], rest])
-            q_des = mechanism.effort_quadratic(reports, 0.0, 1.0)[0]
+        effort = (mechanism.effort_linear if cost_kind == LINEAR
+                  else mechanism.effort_quadratic)
+        q_des = effort(np.concatenate([[theta], rest]), 0.0, 1.0)[0]
         dev = abs(q_br - q_des) / max(1.0, q_des)
         if dev > worst_eff:
             worst_eff = dev
@@ -275,6 +272,9 @@ SUITES: Dict[str, Callable[..., List[Check]]] = {
 def run_suite(name: str, **kwargs) -> List[Check]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    for count in ("n_instances", "n_mc"):
+        if count in kwargs and kwargs[count] < 1:
+            raise ValueError(f"{count} must be >= 1, got {kwargs[count]}")
     return SUITES[name](**kwargs)
 
 

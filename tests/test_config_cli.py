@@ -178,6 +178,38 @@ def test_cli_run_reports_solver_diagnostics(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
+def test_cli_run_rejects_zero_workers(tmp_path, capsys):
+    rc, out = _run_cli(tmp_path, "zero-workers", extra=("-w", "0"))
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: --workers must be >= 1, got 0"]
+    assert not os.path.exists(out)
+
+
+def test_cli_verify_bic_rejects_zero_instances(capsys):
+    rc = cli.main(["verify", "bic", "--instances", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip() == "error: n_instances must be >= 1, got 0"
+    assert "result:" not in captured.out
+
+
+def test_cli_verify_bir_rejects_negative_instances(capsys):
+    rc = cli.main(["verify", "bir", "--instances", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip() == "error: n_instances must be >= 1, got -3"
+    assert "result:" not in captured.out
+
+
+def test_cli_verify_bic_rejects_zero_mc(capsys):
+    rc = cli.main(["verify", "bic", "--mc", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip() == "error: n_mc must be >= 1, got 0"
+    assert "result:" not in captured.out
+
+
 def test_cli_verify_cubic(capsys):
     rc = cli.main(["verify", "cubic"])
     out = capsys.readouterr().out

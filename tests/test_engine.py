@@ -1,11 +1,14 @@
 """Simulation engine: trial/batch equivalence, determinism across chunking and
 worker counts, per-mechanism structural invariants, and agent modes."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from copesim import engine
-from copesim.costs import LINEAR, QUADRATIC, linear_cost, quadratic_cost
+from copesim.costs import (LINEAR, QUADRATIC, cost, general_cost, linear_cost,
+                           quadratic_cost)
 from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
                             COPE_LINEAR, COPE_QUADRATIC, METRICS, TRUTHFUL,
                             EngineSettings, MechanismSpec, homogeneous_spec,
@@ -180,6 +183,68 @@ def test_worker_count_does_not_change_results(make_scenario):
     assert len(serial) == len(parallel) == 4
     for a, b in zip(serial, parallel):
         assert a == b or (a.stats == b.stats and a.mechanism == b.mechanism)
+
+
+def _power_cdf(t):
+    return np.asarray(t, dtype=float) ** 2
+
+
+def _power_pdf(t):
+    return 2.0 * np.asarray(t, dtype=float)
+
+
+def _cubic_marginal(q, theta):
+    return np.asarray(theta, dtype=float) * (1.0 + np.asarray(q, dtype=float) ** 2)
+
+
+@pytest.mark.parametrize("model", [linear_cost(), quadratic_cost(),
+                                   general_cost(_cubic_marginal)])
+def test_scenarios_pickle(model):
+    scen = Scenario(prior=GaussianPrior(0.0, 1.0),
+                    type_dist=CostTypeDistribution.custom(
+                        0.0, 1.0, cdf=_power_cdf, pdf=_power_pdf),
+                    n_agents=3, cost_model=model)
+    back = pickle.loads(pickle.dumps(scen))
+    assert back.cost_kind == scen.cost_kind and back.prior == scen.prior
+    q, theta = np.array([0.0, 0.5, 2.0]), np.array([0.2, 0.5, 0.9])
+    assert np.array_equal(cost(back.cost_model, q, theta),
+                          cost(scen.cost_model, q, theta))
+    assert np.array_equal(back.type_dist.cdf(theta), scen.type_dist.cdf(theta))
+
+
+def _assert_same_results(args, **kwargs):
+    serial = run_experiment(*args, n_workers=1, **kwargs)
+    parallel = run_experiment(*args, n_workers=2, **kwargs)
+    assert len(serial) == len(parallel) > 1
+    for a, b in zip(serial, parallel):
+        assert (a.mechanism, a.n_agents, a.stats) == \
+            (b.mechanism, b.n_agents, b.stats)
+
+
+def test_workers_parallelize_custom_type_distribution():
+    dist = CostTypeDistribution.custom(0.0, 1.0, cdf=_power_cdf,
+                                       pdf=_power_pdf)
+    _assert_same_results((GaussianPrior(0.0, 1.0), dist, linear_cost(),
+                          [2, 3], [COPE_LINEAR, CENTRALIZED]),
+                         n_trials=200, master_seed=4)
+
+
+def test_workers_parallelize_general_cost():
+    _assert_same_results((GaussianPrior(0.0, 1.0),
+                          CostTypeDistribution.uniform(0.0, 1.0),
+                          general_cost(_cubic_marginal), [2, 3],
+                          [COPE_GENERAL]), n_trials=2, master_seed=0)
+
+
+def test_workers_reject_unpicklable_scenario():
+    model = general_cost(lambda q, t: np.asarray(t) * (1.0 + np.asarray(q)))
+    calls = []
+    with pytest.raises(ValueError, match="pickle"):
+        run_experiment(GaussianPrior(0.0, 1.0),
+                       CostTypeDistribution.uniform(0.0, 1.0), model, [2, 3],
+                       [COPE_GENERAL], n_trials=1, master_seed=0,
+                       n_workers=2, progress=lambda *a: calls.append(a))
+    assert calls == []
 
 
 def test_normalize_payoff():

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from copesim import mechanism
-from copesim.costs import general_cost, linear_cost, quadratic_cost
+from copesim import engine, mechanism
+from copesim.costs import (LINEAR, QUADRATIC, general_cost, linear_cost,
+                           quadratic_cost)
 from copesim.model import CostTypeDistribution, GaussianPrior, posterior_mean_var
 
 U01 = CostTypeDistribution.uniform(0.0, 1.0)
@@ -71,15 +72,13 @@ def test_cubic_root_unit_cases():
 
 
 def test_solve_W_single_report_flat_prior():
-    sol = mechanism.solve_W([0.5], 0.0, math.inf)
-    assert sol.W == pytest.approx(1.0)
-    assert sol.residual([0.5], 0.0, math.inf) < 1e-12
+    assert mechanism.solve_W([0.5], 0.0, math.inf) == pytest.approx(1.0)
 
 
 def test_solve_W_two_reports_flat_prior():
     # W^3 = 2
-    sol = mechanism.solve_W([0.5, 0.5], 0.0, math.inf)
-    assert sol.W == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    W = mechanism.solve_W([0.5, 0.5], 0.0, math.inf)
+    assert W == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_solve_W_rejects_nonpositive_virtual_cost():
@@ -170,13 +169,6 @@ def test_linear_transfers_nonnegative_and_cover_cost():
         assert np.all(rule.pi[live] >= theta[live] * rule.efforts[live] - 1e-12)
 
 
-def test_doubled_tail_diagnostic_reports_discrepancy():
-    d = mechanism.linear_pi_diagnostic(0.125, 0.0, 1.0, 1.0)
-    assert d["abs_diff"] > 1e-3
-    assert d["quadrature"] == pytest.approx(
-        mechanism.linear_pi_quad(0.125, (), 0.0, 1.0, 1.0))
-
-
 def test_clamp_point_and_tail_integral():
     assert mechanism.linear_clamp_point(0.0, 1.0) == pytest.approx(0.5)
     assert mechanism.linear_clamp_point(0.0, math.inf) == math.inf
@@ -189,11 +181,21 @@ def test_clamp_point_and_tail_integral():
         pytest.approx(want, rel=1e-12)
 
 
-def test_realized_payment_identity():
-    rule = mechanism.payment_rule_linear([0.2, 0.9], 0.0, 1.0, 1.0)
-    pay = rule.realized(0.3, np.array([0.1, 0.0]))
-    want = rule.pi - rule.K * (0.3 - np.array([0.1, 0.0])) ** 2 + rule.S
-    assert np.allclose(pay, want)
+def test_realized_payment_identity(make_scenario):
+    # the engine pays pi - K (x - report)^2 + S with the components of the
+    # per-vector payment rule (whose pi comes by adaptive quadrature)
+    for kind, mech, rule_for in (
+            (LINEAR, engine.COPE_LINEAR, mechanism.payment_rule_linear),
+            (QUADRATIC, engine.COPE_QUADRATIC,
+             mechanism.payment_rule_quadratic)):
+        scen = make_scenario(kind, 3)
+        for t in range(4):
+            rec = engine.run_trial(scen, mech, engine.TRUTHFUL, seed=2,
+                                   trial_index=t)
+            rule = rule_for(rec.reported_types, 0.0, 1.0, 1.0)
+            assert np.array_equal(rec.efforts > 0, rule.efforts > 0)
+            want = rule.pi - rule.K * (rec.x - rec.reports) ** 2 + rule.S
+            assert np.allclose(rec.payments, want, rtol=1e-8, atol=1e-12)
 
 
 # -- quadratic-cost payments --------------------------------------------------
@@ -377,6 +379,21 @@ def test_general_solver_matches_quadratic_closed_form(var0, n):
     gen = np.random.default_rng(1000 * n + 7)
     for theta in (np.geomspace(1e-3, 1.0, n), gen.uniform(1e-3, 1.0, n)):
         got = mechanism.effort_general(quadratic_cost(), U01, var0, theta)
+        want = mechanism.effort_quadratic(theta, 0.0, var0)
+        assert np.max(np.abs(got - want) / want) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("var0", [1e3, math.inf])
+@pytest.mark.parametrize("theta_hi", [1e4, 1e6])
+def test_general_solver_converges_at_large_cost_scales(theta_hi, var0):
+    # types on [0, theta_hi] put 1/P^2, the scale of the virtual marginal
+    # cost at the optimum, far above 1; the convergence check scales with it
+    dist = CostTypeDistribution.uniform(0.0, theta_hi)
+    gen = np.random.default_rng(90210)
+    for v in range(30):
+        theta = gen.uniform(0.0, theta_hi, 2 + v % 8)
+        got = mechanism.effort_general(quadratic_cost(), dist, var0, theta)
         want = mechanism.effort_quadratic(theta, 0.0, var0)
         assert np.max(np.abs(got - want) / want) <= 1e-9
 

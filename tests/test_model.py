@@ -1,18 +1,26 @@
-"""World model: prior, type distribution, posterior update, seeded draws."""
-
-import math
+"""World model: prior, type distribution, posterior update, and the seeded
+draws and observations the engine makes from it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from copesim import rng
+from copesim import engine, rng
 from copesim.costs import linear_cost
 from copesim.model import (CostTypeDistribution, GaussianPrior, Scenario,
-                           TYPE_CLAMP, draw_observation, draw_world,
-                           is_no_observation, posterior_mean_var,
+                           TYPE_CLAMP, posterior_mean_var,
                            principal_bayes_risk, agent_bayes_risk,
                            agent_bayes_risk_deriv)
+
+
+def _cdf_atom_at_lo(t):
+    # half the mass sits at theta_lo = 0: ppf(u) = 0 for every u <= 1/2
+    return np.where(np.asarray(t, dtype=float) > 0.0,
+                    0.5 + 0.5 * np.asarray(t, dtype=float), 0.0)
+
+
+def _pdf_atom_at_lo(t):
+    return np.full_like(np.asarray(t, dtype=float), 0.5)
 
 
 # -- posterior: hand-evaluated conjugate updates ------------------------------
@@ -59,43 +67,68 @@ def test_posterior_precision_adds_and_mean_interpolates(mu0, var0, reports):
     assert min(anchors) - 1e-9 <= mean <= max(anchors) + 1e-9
 
 
-# -- observations -------------------------------------------------------------
+# -- seeded draws and observations, through the engine that owns them --------
 
 def test_zero_effort_yields_sentinel():
-    y = draw_observation(0.3, 0.0, seed=1)
-    assert is_no_observation(y)
-    assert math.isnan(y)
-
-
-def test_negative_effort_rejected():
-    with pytest.raises(ValueError):
-        draw_observation(0.0, -1.0, seed=1)
+    # under linear cost only the winner works: every other agent observes
+    # nothing (NaN) and reports the prior mean
+    scen = Scenario(prior=GaussianPrior(0.7, 2.0),
+                    type_dist=CostTypeDistribution.uniform(0.0, 1.0),
+                    n_agents=4, cost_model=linear_cost())
+    rec = engine.run_trial(scen, engine.COPE_LINEAR, engine.TRUTHFUL, seed=1)
+    idle = rec.efforts == 0.0
+    assert idle.sum() >= 3
+    assert np.all(np.isnan(rec.observations[idle]))
+    assert np.all(rec.reports[idle] == 0.7)
+    assert np.all(np.isfinite(rec.observations[~idle]))
 
 
 def test_huge_effort_pins_observation_to_state():
-    x = 0.3
-    y = draw_observation(x, 1e12, seed=7)
-    assert abs(y - x) < 1e-5
+    x = np.array([0.3])
+    noise = rng.normals(7, 1, rng.NOISE, 1).reshape(1, 1)
+    obs, est = engine._observe(x, np.array([[1e12]]), noise,
+                               GaussianPrior(0.0, 1.0))
+    assert abs(obs[0, 0] - 0.3) < 1e-5 and abs(est[0, 0] - 0.3) < 1e-5
 
 
 def test_unit_effort_noise_variance():
-    # y - x = eps/sqrt(1); sample variance of 1e5 draws must sit near 1
-    draws = rng.normals(42, 1, rng.NOISE, 100_000)
-    spot = [draw_observation(0.0, 1.0, seed=42, offset=k) for k in range(50)]
-    assert np.allclose(spot, draws[:50])   # the loop path matches the stream
-    assert abs(draws.var(ddof=1) - 1.0) < 0.02
+    # y - x = eps/sqrt(1): the chunk's noise is the NOISE stream, read
+    # positionally, and its sample variance over 1e5 draws sits near 1
+    scen = Scenario(prior=GaussianPrior(0.0, 1.0),
+                    type_dist=CostTypeDistribution.uniform(0.0, 1.0),
+                    n_agents=2, cost_model=linear_cost())
+    settings = engine.EngineSettings()
+    x, _, noise = engine._draw_chunk(scen, 42, 10, 50_010, settings)
+    stream = rng.normals(42, 2, rng.NOISE, 100_000, offset=20)
+    assert np.array_equal(noise.ravel(), stream)
+    obs, _ = engine._observe(x, np.ones_like(noise), noise, scen.prior)
+    assert np.allclose(obs - x[:, None], noise)
+    assert abs(stream.var(ddof=1) - 1.0) < 0.02
 
 
 def test_draw_world_is_deterministic_and_clamped():
     scen = Scenario(prior=GaussianPrior(0.0, 1.0),
                     type_dist=CostTypeDistribution.uniform(0.0, 1.0),
                     n_agents=4, cost_model=linear_cost())
-    x1, t1 = draw_world(scen, seed=3, trial_index=5)
-    x2, t2 = draw_world(scen, seed=3, trial_index=5)
+
+    def draw(seed, trial_index):
+        rec = engine.run_trial(scen, engine.CENTRALIZED, engine.TRUTHFUL,
+                               seed=seed, trial_index=trial_index)
+        return rec.x, rec.types
+
+    x1, t1 = draw(3, 5)
+    x2, t2 = draw(3, 5)
     assert x1 == x2 and np.array_equal(t1, t2)
     assert np.all(t1 >= TYPE_CLAMP) and np.all(t1 <= 1.0)
-    x3, _ = draw_world(scen, seed=4, trial_index=5)
+    x3, _ = draw(4, 5)
     assert x3 != x1
+    # a type distribution whose ppf reaches theta_lo is clamped just above it
+    atom = CostTypeDistribution.custom(0.0, 1.0, cdf=_cdf_atom_at_lo,
+                                       pdf=_pdf_atom_at_lo, validate=False)
+    _, types, _ = engine._draw_chunk(
+        Scenario(scen.prior, atom, 4, linear_cost()), 3, 0, 50,
+        engine.EngineSettings())
+    assert types.min() == TYPE_CLAMP and types.max() <= 1.0
 
 
 # -- prior and type distribution ----------------------------------------------
