@@ -18,7 +18,7 @@ from .mechanism import (PaymentRule, EffortSchedule, SolverError,
                         solve_W, cubic_root, payment_rule_linear,
                         payment_rule_quadratic, payment_rule_general,
                         linear_schedule, quadratic_schedule, general_schedule,
-                        predict, predict_batch)
+                        predict_batch)
 from .agents import (truthful_report_obs, interim_payoff, best_response_type,
                      best_response_effort, information_rent)
 from .benchmarks import (centralized_efforts, network_profit_bayes,

@@ -13,6 +13,7 @@ type moments, no Monte-Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -144,8 +145,10 @@ def homogeneous_predict(contract: HomogeneousContract, reports, prior:
     participant exerted q_dagger: un-shrink each report as if it were a
     posterior mean at effort q_dagger, then average at the assumed precision.
     NaN marks an agent that filed no report.  The denominator uses the
-    participant count unless n_denominator is given.  Vectorized over the
-    leading dimensions of a (..., N) report array; a float for one vector.
+    participant count unless n_denominator is given.  The aggregate is
+    formed in deviations from mu0, so under a fixed denominator each agent
+    without a report counts at the prior mean.  Vectorized over the leading
+    dimensions of a (..., N) report array; a float for one vector.
     """
     reports = np.asarray(reports, dtype=float)
     mu0, prec, q = prior.mu0, prior.precision, contract.q_dagger
@@ -156,8 +159,8 @@ def homogeneous_predict(contract: HomogeneousContract, reports, prior:
     else:
         g = reports + (reports - mu0) * (prec / q)
         den = prec + (m if n_denominator is None else n_denominator) * q
-        num = mu0 * prec + q * np.where(filed, g, 0.0).sum(axis=-1)
-        out = np.where(m > 0, num / np.where(den > 0, den, 1.0), mu0)
+        dev = q * np.where(filed, g - mu0, 0.0).sum(axis=-1)
+        out = np.where(m > 0, mu0 + dev / np.where(den > 0, den, 1.0), mu0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -216,16 +219,22 @@ def _participation_threshold(contract: HomogeneousContract,
     return float(brentq(u_live, lo_eval, edge, xtol=1e-15, maxiter=200))
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """200-node Gauss-Legendre rule for the participating-type moments."""
+    return np.polynomial.legendre.leggauss(200)
+
+
 def _participating_moments(contract: HomogeneousContract,
                            type_dist: CostTypeDistribution, var0: float,
-                           cost_kind: str, theta_star: float, n_nodes: int
+                           cost_kind: str, theta_star: float
                            ) -> Tuple[float, float, float, float]:
     """Conditional moments of the participating types: E[b], E[b^2], E[w],
     E[hA] with b = q/(prec+q), w = q/(prec+q)^2, hA = 1/(prec+q) at the
     agent's own best-response effort."""
     prec = 1.0 / var0
     lo = max(type_dist.theta_lo, TYPE_CLAMP)
-    x, wts = mechanism._gauss_legendre(n_nodes)
+    x, wts = _moment_rule()
     # the linear response kinks where it clamps at zero; split there
     segments = [(lo, theta_star)]
     if cost_kind == LINEAR and prec > 0:
@@ -258,8 +267,7 @@ def homogeneous_expected_payoff(contract: HomogeneousContract,
                                 type_dist: CostTypeDistribution,
                                 prior: GaussianPrior, n_agents: int,
                                 cost_kind: str,
-                                n_denominator: Optional[int] = None,
-                                n_nodes: int = 200) -> float:
+                                n_denominator: Optional[int] = None) -> float:
     """Exact ex-ante expected payoff of running the homogeneous mechanism:
     minus the expected squared prediction error (binomial mixture over the
     participant count, Gaussian quadrature over the participating-type
@@ -274,7 +282,7 @@ def homogeneous_expected_payoff(contract: HomogeneousContract,
     if p <= 0.0:
         return -var0
     eb, eb2, ew, eh = _participating_moments(contract, type_dist, var0,
-                                             cost_kind, theta_star, n_nodes)
+                                             cost_kind, theta_star)
     # expected squared error given m participants; the predictor weight
     # c_m = (q_dag + prec)/(prec + D q_dag) comes from un-shrinking at q_dag
     def err(m: int) -> float:

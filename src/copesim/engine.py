@@ -450,10 +450,13 @@ def default_workers() -> int:
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
         raise ValueError(
             f"COPE_SIM_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"COPE_SIM_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 def run_experiment(prior: GaussianPrior, type_dist: CostTypeDistribution,
@@ -474,7 +477,9 @@ def run_experiment(prior: GaussianPrior, type_dist: CostTypeDistribution,
     cells = [(scenarios[n], mech) for n in n_agents_list for mech in mechanisms]
     for scenario, mech in cells:
         check_pairing(scenario, mech)
-    workers = default_workers() if n_workers is None else max(1, n_workers)
+    workers = default_workers() if n_workers is None else n_workers
+    if workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {workers}")
     if workers > 1:
         try:
             pickle.dumps(scenarios)

@@ -102,10 +102,10 @@ def cubic_root(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     a3 = a * a * a
-    lam = a3 * b / 27.0 + b * b / 4.0
     t = a3 / 27.0 + b / 2.0
-    s = np.sqrt(lam)
+    s = np.sqrt(a3 * b / 27.0 + b * b / 4.0)
     W = a / 3.0 + np.cbrt(t + s) + np.cbrt(t - s)
+    del t, s                # free the temporaries before the polish
 
     def polish(W):
         W2 = W * W
@@ -300,51 +300,29 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
     return 0.5 * (theta_hat[agent] * q_own ** 2 + tail)
 
 
-_GL_CACHE: dict = {}
-
-#: rows of the rent tail evaluated together: 512 rows x 48 nodes keep each
-#: float64 temporary at 192 KiB
-_TAIL_BLOCK_ROWS = 512
-
-
-def _gauss_legendre(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
+# name and arity fixed by perfbench's tracer: it reads a 6th arg as order
 def quadratic_pi_tail_gl(theta_from, s_rest, theta_lo: float, theta_hi: float,
-                         var0: float, order: int = 48) -> np.ndarray:
-    """Vectorized tail integral of the squared quadratic-cost schedule over
-    [theta_from, theta_hi].  Substituting u = (2z - theta_lo)^(1/3) bounds the
-    integrand at the low end (it behaves like gamma^(-2/3) there), so a fixed
-    Gauss-Legendre rule converges fast; verified against quadratic_pi_quad in
-    tests.  Broadcasts over leading dimensions of theta_from / s_rest.
+                         var0: float) -> np.ndarray:
+    """Exact tail integral of the squared quadratic-cost schedule over
+    [theta_from, theta_hi], vectorized over broadcastable theta_from, s_rest.
 
-    Rows are evaluated in blocks of _TAIL_BLOCK_ROWS so the (rows, order)
-    temporaries stay cache-resident; each row's arithmetic does not depend on
-    the blocking, so the result is the same bits as one whole-array pass."""
-    tf, s = np.broadcast_arrays(np.asarray(theta_from, dtype=float),
-                                np.asarray(s_rest, dtype=float))
-    shape = tf.shape
-    tf = tf.reshape(-1)
-    s = s.reshape(-1)
+    With a = 1/var0, W(z) solves W^3 - a W^2 = s_rest + 1/(2z - theta_lo)
+    and q = 1/((2z - theta_lo) W^2), so q^2 dz = -(3/(2W^2) - a/W^3) dW and
+    the tail is G(W_hi) - G(W_from) with G(W) = 3/(2W) - a/(2W^2).  It is
+    evaluated factored, W_from - W_hi taken from the difference of the two
+    cubics, so it keeps full relative precision as theta_from nears
+    theta_hi; verified against quadratic_pi_quad in tests."""
+    tf = np.asarray(theta_from, dtype=float)
+    s = np.asarray(s_rest, dtype=float)
     a = 1.0 / var0
-    x, w = _gauss_legendre(order)
-    ub = np.cbrt(2.0 * theta_hi - theta_lo)
-    out = np.empty(tf.size)
-    for start in range(0, tf.size, _TAIL_BLOCK_ROWS):
-        rows = slice(start, start + _TAIL_BLOCK_ROWS)
-        ua = np.cbrt(2.0 * tf[rows] - theta_lo)
-        mid = 0.5 * (ua + ub)
-        half = 0.5 * (ub - ua)
-        u = mid[:, None] + half[:, None] * x          # (rows, order)
-        gam = u ** 3
-        W = cubic_root(a, s[rows, None] + 1.0 / gam)
-        q = 1.0 / (gam * W * W)
-        integrand = q * q * 1.5 * u * u               # dz = (3/2) u^2 du
-        out[rows] = (integrand * w).sum(axis=-1) * half
-    return out.reshape(shape)
+    g_f = 2.0 * tf - theta_lo
+    g_h = 2.0 * theta_hi - theta_lo
+    W_f = cubic_root(a, s + 1.0 / g_f)
+    W_h = cubic_root(a, s + 1.0 / g_h)
+    dW = 2.0 * (theta_hi - tf) / (
+        g_f * g_h * (W_f * W_f + W_f * W_h + W_h * W_h - a * (W_f + W_h)))
+    fh = W_f * W_h
+    return dW * (1.5 / fh - 0.5 * a * (W_f + W_h) / (fh * fh))
 
 
 def quadratic_components_batch(theta_hat: np.ndarray, theta_lo: float,
@@ -698,30 +676,17 @@ def general_schedule(model: CostModel, type_dist: CostTypeDistribution,
 # predictor
 # ---------------------------------------------------------------------------
 
-def predict(prior: GaussianPrior, reports, efforts) -> float:
-    """Principal's point prediction from shrunk reports.
-
-    Each active agent (designated effort > 0) reported his own posterior mean;
-    weighting report n by (1/var0 + q_n) and adding (1 - #active) prior
-    pseudo-observations recovers exactly the posterior mean that raw
-    observations would give.  No active agents: the prior mean.
-    """
-    reports = np.asarray(reports, dtype=float)
-    efforts = np.asarray(efforts, dtype=float)
-    active = efforts > 0
-    if not np.any(active):
-        return prior.mu0
-    prec = prior.precision
-    n_active = int(active.sum())
-    num = (1 - n_active) * prior.mu0 * prec + np.sum(
-        (prec + efforts[active]) * reports[active])
-    den = prec + float(efforts[active].sum())
-    return float(num / den)
-
-
 def predict_batch(prior: GaussianPrior, reports: np.ndarray,
                   efforts: np.ndarray) -> np.ndarray:
-    """Vectorized predict over leading dimensions of (..., N) arrays."""
+    """Principal's point prediction from shrunk reports, vectorized over the
+    leading dimensions of (..., N) arrays.
+
+    Each active agent (designated effort > 0) reported its own posterior
+    mean; weighting report n by (1/var0 + q_n) and adding (1 - #active)
+    prior pseudo-observations recovers exactly the posterior mean that raw
+    observations would give.  No active agents (finite var0): the prior
+    mean.
+    """
     active = efforts > 0
     prec = prior.precision
     n_active = active.sum(axis=-1)

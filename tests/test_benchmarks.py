@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from copesim import benchmarks as B
-from copesim import mechanism
-from copesim.costs import LINEAR, QUADRATIC, linear_cost
-from copesim.model import CostTypeDistribution, GaussianPrior
+from copesim import engine, mechanism
+from copesim.costs import LINEAR, QUADRATIC, linear_cost, quadratic_cost
+from copesim.model import CostTypeDistribution, GaussianPrior, Scenario
 
 
 def test_centralized_linear_concentrates_on_cheapest():
@@ -251,3 +251,43 @@ def test_quadratic_design_point_ordering_compliance_vs_best_response():
             B.homogeneous_contract(td, n, QUADRATIC, prior.var0), u01, prior,
             n, QUADRATIC, n_denominator=n) for td in (0.2, 0.5, 0.8))
         assert mid > hi > lo, (n, lo, mid, hi)
+
+
+# -- posted contract away from a zero prior mean ------------------------------
+
+def _posted_cell(mu0, n_trials=40_000):
+    """Per-trial metrics of the quadratic posted contract (theta_dagger 0.3,
+    N = 5, var0 = 1, full-n predictor) at prior mean mu0."""
+    scen = Scenario(prior=GaussianPrior(mu0, 1.0),
+                    type_dist=CostTypeDistribution.uniform(0.0, 1.0),
+                    n_agents=5, cost_model=quadratic_cost())
+    settings = engine.EngineSettings(hom_denominator="full-n")
+    return engine.run_batch(scen, engine.homogeneous_spec(0.3), 0, n_trials,
+                            settings)
+
+
+def test_posted_contract_exact_at_nonzero_prior_mean():
+    # full-n counts non-participants at the prior mean, so the exact
+    # expected payoff and per-trial squared error hold at mu0 = 2
+    prior = GaussianPrior(2.0, 1.0)
+    metrics = _posted_cell(prior.mu0)
+    c = B.homogeneous_contract(0.3, 5, QUADRATIC, prior.var0)
+    exact = B.homogeneous_expected_payoff(
+        c, CostTypeDistribution.uniform(0.0, 1.0), prior, 5, QUADRATIC, 5)
+
+    def mean_se(v):
+        return v.mean(), v.std(ddof=1) / math.sqrt(v.size)
+
+    payoff, se = mean_se(metrics["principal_payoff"])
+    assert abs(payoff - exact) <= 3.0 * se, (payoff, exact, se)
+    gap, se = mean_se(metrics["prediction_sq_error"]
+                      - metrics["expected_sq_error"])
+    assert abs(gap) <= 3.0 * se, (gap, se)
+
+
+def test_posted_contract_payoffs_do_not_depend_on_prior_mean():
+    # the latent state, every observation and every report move with mu0
+    at0 = _posted_cell(0.0, n_trials=5_000)
+    at2 = _posted_cell(2.0, n_trials=5_000)
+    for k in engine.METRICS:
+        assert np.allclose(at2[k], at0[k], rtol=0.0, atol=1e-9), k

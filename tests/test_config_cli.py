@@ -158,6 +158,13 @@ def test_cli_run_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
     # an explicit -w wins over the environment
     rc, _ = _run_cli(tmp_path, "bad-env-w1", extra=("-w", "1"))
     assert rc == 0
+    for value in ("0", "-3"):
+        monkeypatch.setenv("COPE_SIM_WORKERS", value)
+        rc, out = _run_cli(tmp_path, f"bad-env{value}")
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: COPE_SIM_WORKERS must be >= 1, got {value}"]
+        assert not os.path.exists(out)
 
 
 def test_cli_run_reports_solver_diagnostics(tmp_path, monkeypatch, capsys):

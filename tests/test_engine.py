@@ -185,6 +185,15 @@ def test_worker_count_does_not_change_results(make_scenario):
         assert a == b or (a.stats == b.stats and a.mechanism == b.mechanism)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_experiment_rejects_nonpositive_workers(make_scenario, workers):
+    scen = make_scenario(LINEAR, 2)
+    with pytest.raises(ValueError, match="n_workers must be >= 1"):
+        run_experiment(scen.prior, scen.type_dist, scen.cost_model, [2],
+                       [COPE_LINEAR], n_trials=10, master_seed=1,
+                       n_workers=workers)
+
+
 def _power_cdf(t):
     return np.asarray(t, dtype=float) ** 2
 

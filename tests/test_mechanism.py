@@ -6,10 +6,12 @@ does not share code with the implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import IntegrationWarning
 from scipy.optimize import minimize, minimize_scalar
 
 from copesim import engine, mechanism
@@ -225,7 +227,7 @@ def test_quadratic_pi_decreasing_in_own_report():
     assert np.all(np.diff(vals) < 0)
 
 
-def test_quadratic_tail_fixed_rule_matches_adaptive_quadrature():
+def test_quadratic_tail_closed_form_matches_adaptive_quadrature():
     gen = np.random.Generator(np.random.Philox(77003))
     for _ in range(10):
         n = int(gen.integers(1, 5))
@@ -253,30 +255,40 @@ def test_quadratic_batch_matches_per_agent_rule():
         assert np.allclose(pi[r], rule.pi, atol=1e-9)
 
 
-def _tail_unblocked(theta_from, s_rest, theta_lo, theta_hi, var0, order=48):
-    """The rent tail as one whole-array pass, for the bitwise check on the
-    blocked evaluation."""
-    tf = np.asarray(theta_from, dtype=float)
-    s = np.asarray(s_rest, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(order)
-    ua = np.cbrt(2.0 * tf - theta_lo)
-    ub = np.cbrt(2.0 * theta_hi - theta_lo)
-    mid = 0.5 * (ua + ub)
-    half = 0.5 * (ub - ua)
-    u = mid[..., None] + half[..., None] * x
-    gam = u ** 3
-    W = mechanism.cubic_root(1.0 / var0, s[..., None] + 1.0 / gam)
-    q = 1.0 / (gam * W * W)
-    return (q * q * 1.5 * u * u * w).sum(axis=-1) * half
-
-
-def test_quadratic_tail_blocks_are_bitwise_unblocked():
+def _tail_grid_cases():
+    """(var0, reports) cases: the own report (index 0) at 1e-6, within 1e-4
+    of theta_hi = 1 or uniform, the rivals uniform on [0, 1]."""
     gen = np.random.Generator(np.random.Philox(77005))
-    n = 19
-    # enough rows for several blocks, with a partial last block
-    t = 2 * mechanism._TAIL_BLOCK_ROWS // n + 3
-    assert (t * n) % mechanism._TAIL_BLOCK_ROWS != 0
-    theta = gen.uniform(1e-6, 1.0, (t, n))
+    for var0 in (0.25, 1.0, 4.0, math.inf):
+        for n in (2, 7, 19):
+            for own in ("low", "top", "uniform"):
+                for _ in range(10):
+                    theta = gen.uniform(0.0, 1.0, n)
+                    if own == "low":
+                        theta[0] = 1e-6
+                    elif own == "top":
+                        theta[0] = 1.0 - gen.uniform(0.0, 1e-4)
+                    yield var0, theta
+    # a rival just above a report at the bottom of the support, where the
+    # schedule changes fastest
+    yield 1.0, np.array([1e-6, 2e-6])
+
+
+def test_quadratic_tail_closed_form_on_grid():
+    with warnings.catch_warnings():
+        # quad can miss silently near theta_lo, e.g. [1e-6, 1e-5, 0.5]
+        warnings.simplefilter("error", IntegrationWarning)
+        for var0, theta in _tail_grid_cases():
+            pi, _, _, _ = mechanism.quadratic_components_batch(
+                theta, 0.0, 1.0, var0)
+            exact = mechanism.quadratic_pi_quad(0, theta, 0.0, 1.0, var0,
+                                                tol=1e-13)
+            assert abs(pi[0] - exact) <= 1e-12 * exact, (var0, theta)
+
+
+def test_quadratic_tail_broadcast_shapes():
+    gen = np.random.Generator(np.random.Philox(77006))
+    theta = gen.uniform(1e-6, 1.0, (5, 19))
     inv = 1.0 / (2.0 * theta)
     s_rest = inv.sum(axis=1, keepdims=True) - inv
     cases = [
@@ -288,15 +300,17 @@ def test_quadratic_tail_blocks_are_bitwise_unblocked():
     for var0 in (1.0, 4.0):
         for tf, s in cases:
             got = mechanism.quadratic_pi_tail_gl(tf, s, 0.0, 1.0, var0)
-            want = _tail_unblocked(tf, s, 0.0, 1.0, var0)
-            assert np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
+            tf_b, s_b = np.broadcast_arrays(tf, s)
+            assert np.shape(got) == tf_b.shape
+            for idx in np.ndindex(tf_b.shape):
+                one = mechanism.quadratic_pi_tail_gl(float(tf_b[idx]),
+                                                     float(s_b[idx]), 0.0,
+                                                     1.0, var0)
+                assert got[idx] == one
 
 
 def test_quadratic_pi_accurate_at_low_reports():
-    # one report near the bottom of the support and a rival just above it:
-    # the tail integrand varies fast near theta_from, where a 32-node rule
-    # leaves a 1e-6 relative error (the 48-node rule: 4e-11)
+    # one report near the bottom of the support and a rival just above it
     theta = np.concatenate([[1e-6, 1e-4], np.linspace(0.02, 1.0, 17)])
     pi, _, _, _ = mechanism.quadratic_components_batch(theta, 0.0, 1.0, 1.0)
     for i in (0, 1):
@@ -491,13 +505,16 @@ def test_general_payment_singular_risk_slope_raises():
 def test_predict_unshrinks_single_report():
     # report 0.5 at q = 1 came from raw y = 1; posterior mean of y = 1 is 0.5
     prior = GaussianPrior(0.0, 1.0)
-    assert mechanism.predict(prior, [0.5], [1.0]) == pytest.approx(0.5)
+    assert mechanism.predict_batch(prior, np.array([0.5]),
+                                   np.array([1.0])) == pytest.approx(0.5)
 
 
 def test_predict_prior_fixed_point_and_fallback():
     prior = GaussianPrior(0.3, 2.0)
-    assert mechanism.predict(prior, [0.3, 0.3], [1.0, 2.0]) == pytest.approx(0.3)
-    assert mechanism.predict(prior, [99.0], [0.0]) == 0.3
+    assert mechanism.predict_batch(prior, np.array([0.3, 0.3]),
+                                   np.array([1.0, 2.0])) == pytest.approx(0.3)
+    assert mechanism.predict_batch(prior, np.array([99.0]),
+                                   np.array([0.0])) == 0.3
 
 
 def test_predict_consistent_with_posterior_on_raw_observations():
@@ -511,18 +528,24 @@ def test_predict_consistent_with_posterior_on_raw_observations():
         reports = np.where(q > 0, (prior.mu0 * prior.precision + y * q)
                            / (prior.precision + q), prior.mu0)
         want, _ = posterior_mean_var(prior, list(zip(y, q)))
-        got = mechanism.predict(prior, reports, q)
+        got = mechanism.predict_batch(prior, reports, q)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def test_predict_batch_matches_scalar_path():
-    prior = GaussianPrior(0.0, 1.0)
-    reports = np.array([[0.5, -0.2], [0.1, 0.0]])
+def test_predict_batch_rows_match_posterior():
+    # a (T, N) batch: each row equals the posterior mean of its own raw
+    # observations, idle agents included
+    prior = GaussianPrior(0.4, 1.7)
+    prec = prior.precision
+    y = np.array([[1.0, -0.4], [0.1, 0.7]])
     efforts = np.array([[1.0, 0.0], [2.0, 1.0]])
+    reports = np.where(efforts > 0, (prior.mu0 * prec + y * efforts)
+                       / (prec + efforts), prior.mu0)
     batch = mechanism.predict_batch(prior, reports, efforts)
+    assert batch.shape == (2,)
     for r in range(2):
-        assert batch[r] == pytest.approx(
-            mechanism.predict(prior, reports[r], efforts[r]))
+        want, _ = posterior_mean_var(prior, list(zip(y[r], efforts[r])))
+        assert batch[r] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # -- schedule diagnostics -----------------------------------------------------
