@@ -13,12 +13,10 @@ from .model import (GaussianPrior, CostTypeDistribution, Scenario,
                     agent_bayes_risk)
 from .costs import (CostModel, linear_cost, quadratic_cost, general_cost, cost,
                     check_regularity, LINEAR, QUADRATIC, GENERAL)
-from .mechanism import (PaymentRule, EffortSchedule, SolverError,
-                        effort_linear, effort_quadratic, effort_general,
-                        solve_W, cubic_root, payment_rule_linear,
-                        payment_rule_quadratic, payment_rule_general,
-                        linear_schedule, quadratic_schedule, general_schedule,
-                        predict_batch)
+from .mechanism import (PaymentRule, SolverError, effort_linear,
+                        effort_quadratic, effort_general, solve_W, cubic_root,
+                        payment_rule_linear, payment_rule_quadratic,
+                        payment_rule_general, predict_batch)
 from .agents import (truthful_report_obs, interim_payoff, best_response_type,
                      best_response_effort, information_rent)
 from .benchmarks import (centralized_efforts, network_profit_bayes,

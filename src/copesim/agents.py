@@ -214,7 +214,7 @@ class BestResponseType:
 
 def best_response_type(theta: float, mech: str, scenario: Scenario,
                        n_grid: int = 101, n_mc: int = 10_000, seed: int = 0,
-                       contract=None, refine: bool = True) -> BestResponseType:
+                       contract=None) -> BestResponseType:
     """Grid-search maximizer of the interim payoff over deviation reports,
     with one refinement decade around the coarse argmax.  The agent plays the
     optimal effort for each candidate report."""
@@ -222,14 +222,12 @@ def best_response_type(theta: float, mech: str, scenario: Scenario,
     lo, hi = dist.theta_lo, dist.theta_hi
     rivals = _rival_types(scenario, n_mc, seed)
     coarse = np.linspace(lo, hi, n_grid)
-    grid = coarse
-    if refine:
-        step = (hi - lo) / (n_grid - 1)
-        draws = _payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
-                               "optimal", mech, scenario, rivals, contract)
-        t0 = coarse[int(np.argmax(draws.mean(axis=1)))]
-        fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
-        grid = np.unique(np.concatenate([coarse, fine]))
+    step = (hi - lo) / (n_grid - 1)
+    draws = _payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
+                           "optimal", mech, scenario, rivals, contract)
+    t0 = coarse[int(np.argmax(draws.mean(axis=1)))]
+    fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
+    grid = np.unique(np.concatenate([coarse, fine]))
     draws = _payoff_matrix(theta, np.clip(grid, lo + TYPE_CLAMP, hi),
                            "optimal", mech, scenario, rivals, contract)
     payoffs = draws.mean(axis=1)
@@ -245,11 +243,11 @@ def best_response_type(theta: float, mech: str, scenario: Scenario,
 
 def best_response_effort(theta: float, scenario: Scenario,
                          theta_hat: Optional[float] = None,
-                         theta_rest=(), q_max: Optional[float] = None,
-                         tol: float = 1e-12) -> float:
-    """Golden-section maximizer of the analytic interim payoff
-    pi - K/(prec+q) + S - C(q, theta) over [0, q_max], given a truthful (or
-    specified) type report and realized rival reports."""
+                         theta_rest=()) -> float:
+    """Golden-section maximizer, to a bracket of 1e-12, of the analytic
+    interim payoff pi - K/(prec+q) + S - C(q, theta) over [0, q_max], given a
+    truthful (or specified) type report and realized rival reports; q_max
+    bounds the optimum of either cost family."""
     if theta_hat is None:
         theta_hat = theta
     dist = scenario.type_dist
@@ -269,15 +267,14 @@ def best_response_effort(theta: float, scenario: Scenario,
     K, S, pi = rule.K[0], rule.S[0], rule.pi[0]
     if K == 0.0:
         return 0.0   # payoff strictly decreasing in effort
-    if q_max is None:
-        q_max = 2.0 * (np.sqrt(K / theta) + np.cbrt(K / theta)) + 10.0
+    q_max = 2.0 * (np.sqrt(K / theta) + np.cbrt(K / theta)) + 10.0
     phi = lambda q: float(effort_payoff(q, theta, K, S, pi,
                                         scenario.cost_model, prec))
     a, b = 0.0, float(q_max)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = phi(c), phi(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -158,13 +158,13 @@ class RegularityReport:
                 and self.convex_in_theta and self.cross_partial)
 
 
-def check_regularity(model: CostModel,
-                     theta_range: Tuple[float, float] = (0.05, 1.0),
-                     q_max: float = 5.0,
-                     n: int = 15,
-                     tol: float = 1e-6) -> RegularityReport:
-    qs = np.linspace(q_max / n, q_max, n)
-    thetas = np.linspace(theta_range[0], theta_range[1], n)
+def check_regularity(model: CostModel) -> RegularityReport:
+    """Partials sampled by finite differences on a 15 x 15 grid, q in
+    [1/3, 5] and theta in [0.05, 1], with tolerance 1e-6 of the marginal's
+    scale."""
+    n, tol = 15, 1e-6
+    qs = np.linspace(5.0 / n, 5.0, n)
+    thetas = np.linspace(0.05, 1.0, n)
     vals = {"dc_dq": np.inf, "dc_dtheta": np.inf, "d2c_dtheta2": np.inf,
             "d2c_dq_dtheta": np.inf}
     scale = max(1.0, max(abs(float(model.marginal(q, t)))
@@ -190,6 +190,12 @@ def check_regularity(model: CostModel,
 
 # -- report-sensitivity condition for truthful bidding -----------------------
 
+def own_effort(efforts: Callable, t: float, theta_rest) -> float:
+    """Agent 0's designated effort under the effort rule efforts (report
+    vector -> designated efforts) at reports (t, *theta_rest)."""
+    return float(efforts(np.concatenate(([t], theta_rest)))[0])
+
+
 @dataclass(frozen=True)
 class ScheduleConditionReport:
     theta_grid: np.ndarray
@@ -204,17 +210,19 @@ class ScheduleConditionReport:
         return bool(np.all(self.passes[active])) if active.any() else True
 
 
-def theorem3_condition(model: CostModel, schedule, theta_grid,
-                       var0: float = 1.0, tol: float = 1e-6,
+def theorem3_condition(model: CostModel, efforts: Callable, theta_grid,
+                       var0: float = 1.0,
                        theta_rest=()) -> ScheduleConditionReport:
     """Check that a lower report never lowers the agent's effective marginal
     cost the wrong way: the curvature-weighted sensitivity
 
         dc/dtheta(Q(t), t) + 2 c(Q(t), t) Q'(t) / (1/var0 + Q(t))  <=  0
 
-    along the schedule, by finite differences.  This is the quantity whose
-    sign drives the truthful-bidding argument; with squared loss the factor
-    2/(1/var0 + q) is -hA''/hA' for the agent's posterior risk hA.
+    along the effort rule, with Q(t) = own_effort(efforts, t, theta_rest),
+    by finite differences, up to 1e-6 of the largest value.  This is the
+    quantity whose sign drives the truthful-bidding argument; with squared
+    loss the factor 2/(1/var0 + q) is -hA''/hA' for the agent's posterior
+    risk hA.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     prec = 1.0 / var0
@@ -222,12 +230,13 @@ def theorem3_condition(model: CostModel, schedule, theta_grid,
     effs = np.empty_like(theta_grid)
     for i, t in enumerate(theta_grid):
         h = _step(t)
-        q = schedule.eval(t, theta_rest)
-        dq = (schedule.eval(t + h, theta_rest) - schedule.eval(t - h, theta_rest)) / (2 * h)
+        q = own_effort(efforts, t, theta_rest)
+        dq = (own_effort(efforts, t + h, theta_rest)
+              - own_effort(efforts, t - h, theta_rest)) / (2 * h)
         c = float(model.marginal(q, t))
         c_t = fd_marginal_dtheta(model, q, t)
         vals[i] = c_t + 2.0 * c * dq / (prec + q)
         effs[i] = q
     scale = max(1.0, np.abs(vals).max())
     return ScheduleConditionReport(theta_grid=theta_grid, values=vals,
-                                   efforts=effs, passes=vals <= tol * scale)
+                                   efforts=effs, passes=vals <= 1e-6 * scale)

@@ -18,6 +18,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -68,7 +69,6 @@ class EngineSettings:
     fixed_types: Optional[Tuple[float, ...]] = None
     br_grid: int = 41      # best-response agent mode oracle resolution
     br_mc: int = 2000
-    br_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def normalize_payoff(raw, var0: float = 1.0):
 @dataclass(frozen=True)
 class _Cell:
     """What every chunk of one (scenario, mechanism) cell shares; state is
-    the mechanism's per-cell setup (posted contract, general schedule)."""
+    the mechanism's per-cell setup (posted contract, general effort rule)."""
     scenario: Scenario
     mech: MechanismSpec
     seed: int
@@ -216,7 +216,7 @@ def _designate_cope_quadratic(cell: _Cell, reported, t0):
 
 
 def _designate_cope_general(cell: _Cell, reported, t0):
-    """Numeric schedule and transfers, one report vector at a time."""
+    """Numeric efforts and transfers, one report vector at a time."""
     scenario = cell.scenario
     pi, K, S, q = (np.empty_like(reported) for _ in range(4))
     for t, theta_hat in enumerate(reported):
@@ -240,7 +240,7 @@ def _best_response(cell: _Cell, types, t0, designate):
     scenario, settings = cell.scenario, cell.settings
     reported = np.array([[agents.best_response_type(
         float(th), "cope", scenario, n_grid=settings.br_grid,
-        n_mc=settings.br_mc, seed=settings.br_seed).theta_star
+        n_mc=settings.br_mc).theta_star
         for th in row] for row in types])
     _, _, terms = designate(cell, reported, t0)
     efforts = np.array([[agents.best_response_effort(
@@ -321,7 +321,7 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
     """Per-cell setup: the posted contract, whether the principal posts it at
     all (its exact expected payoff beats opting out and the designed effort
     is positive) and the predictor's fixed denominator; or the general-cost
-    schedule."""
+    effort rule."""
     prior, n, kind = scenario.prior, scenario.n_agents, scenario.cost_kind
     if mech.kind == "homogeneous":
         contract = benchmarks.homogeneous_contract(mech.theta_dagger, n, kind,
@@ -331,8 +331,8 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
             contract, scenario.type_dist, prior, n, kind, n_den)
         return contract, use_mech and contract.q_dagger > 0.0, n_den
     if mech.kind == "cope-general":
-        return mechanism.general_schedule(scenario.cost_model,
-                                          scenario.type_dist, prior.var0)
+        return partial(mechanism.effort_general, scenario.cost_model,
+                       scenario.type_dist, prior.var0)
     return None
 
 

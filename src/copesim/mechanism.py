@@ -11,18 +11,16 @@ the total precision for arbitrary regular cost models.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 # optimize is not called here; perfbench's tracer counts calls through both
 # module names
 from scipy import integrate, optimize  # noqa: F401
 
-from . import costs as costs_mod
-from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta
+from .costs import CostModel, fd_total_dtheta, own_effort
 from .model import (CostTypeDistribution, GaussianPrior, agent_bayes_risk,
                     agent_bayes_risk_deriv)
 
@@ -35,12 +33,8 @@ class SolverError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class SingularPaymentRule(ValueError):
-    """Accuracy stake undefined because the agent risk has zero slope."""
-
-
 # ---------------------------------------------------------------------------
-# effort schedules
+# effort rules: report vector -> designated efforts
 # ---------------------------------------------------------------------------
 
 def argmin_winner(theta_hat: np.ndarray, tie_break: str = "lowest-index",
@@ -52,7 +46,7 @@ def argmin_winner(theta_hat: np.ndarray, tie_break: str = "lowest-index",
     if theta_hat.size == 0:
         raise ValueError("empty report vector")
     if tie_break == "lowest-index" or tie_uniform is None:
-        return int(np.argmin(theta_hat))
+        return int(theta_hat.argmin())
     ties = np.flatnonzero(theta_hat == theta_hat.min())
     return int(ties[min(int(tie_uniform * ties.size), ties.size - 1)])
 
@@ -86,8 +80,11 @@ def effort_linear(theta_hat, theta_lo: float, var0: float,
     max{(2*theta - theta_lo)^(-1/2) - 1/var0, 0}, everyone else for 0."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     winner = argmin_winner(theta_hat, tie_break, tie_uniform)
-    q = np.zeros_like(theta_hat)
-    gamma = _virtual_costs(theta_hat, theta_lo)[winner]
+    q = np.zeros(theta_hat.shape)
+    # the winner holds the lowest report, so its virtual cost is the least
+    gamma = 2.0 * theta_hat[winner] - theta_lo
+    if gamma <= 0:
+        raise ValueError("virtual cost must be positive for every report")
     q[winner] = max(gamma ** -0.5 - 1.0 / var0, 0.0)
     return q
 
@@ -182,7 +179,7 @@ def _tail_upper(theta_hi: float, theta_rest) -> float:
 
 
 def linear_pi_quad(theta_hat_win: float, theta_rest, theta_lo: float,
-                   theta_hi: float, var0: float, tol: float = 1e-10) -> float:
+                   theta_hi: float, var0: float) -> float:
     """Winner's unconditional payment by adaptive quadrature: own cost at the
     designated effort plus the rent tail of the clamped schedule up to the
     lowest rival report."""
@@ -196,7 +193,8 @@ def linear_pi_quad(theta_hat_win: float, theta_rest, theta_lo: float,
     points = [zstar] if theta_hat_win < zstar < upper else None
     tail, _ = integrate.quad(
         lambda z: float(linear_effort_at(z, theta_lo, var0)),
-        theta_hat_win, upper, points=points, epsabs=tol, epsrel=tol, limit=200)
+        theta_hat_win, upper, points=points, epsabs=1e-10, epsrel=1e-10,
+        limit=200)
     return theta_hat_win * q_win + tail
 
 
@@ -283,7 +281,11 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
                       var0: float, tol: float = 1e-10) -> float:
     """Unconditional payment for one agent under quadratic cost by adaptive
     quadrature; every node re-solves the cubic with that agent's report
-    replaced by the integration variable."""
+    replaced by the integration variable.
+
+    The squared schedule varies on the scale of the own virtual cost, so a
+    low report gets one breakpoint per decade of virtual cost up to theta_hi;
+    without them quad can stop on a wrong value with only a warning."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     gamma = _virtual_costs(theta_hat, theta_lo)
     s_rest = float(np.sum(1.0 / gamma)) - 1.0 / gamma[agent]
@@ -294,8 +296,12 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
         W = float(cubic_root(a, s_rest + 1.0 / gz))
         return (1.0 / (gz * W * W)) ** 2
 
+    g_hi = 2.0 * theta_hi - theta_lo
+    decades = math.ceil(math.log10(g_hi / gamma[agent]))
+    points = ((np.geomspace(gamma[agent], g_hi, decades + 1)[1:-1] + theta_lo)
+              / 2.0 if decades > 1 else None)
     tail, _ = integrate.quad(q_sq, float(theta_hat[agent]), theta_hi,
-                             epsabs=tol, epsrel=tol, limit=200)
+                             points=points, epsabs=tol, epsrel=tol, limit=200)
     q_own = effort_quadratic(theta_hat, theta_lo, var0)[agent]
     return 0.5 * (theta_hat[agent] * q_own ** 2 + tail)
 
@@ -344,12 +350,12 @@ def quadratic_components_batch(theta_hat: np.ndarray, theta_lo: float,
 
 
 def payment_rule_quadratic(theta_hat, theta_lo: float, theta_hi: float,
-                           var0: float, tol: float = 1e-10) -> PaymentRule:
+                           var0: float) -> PaymentRule:
     """Transfers under quadratic cost; every agent is recruited and paid."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     efforts = effort_quadratic(theta_hat, theta_lo, var0)
     K, S = _quadratic_KS(theta_hat, efforts, var0)
-    pi = np.array([quadratic_pi_quad(i, theta_hat, theta_lo, theta_hi, var0, tol)
+    pi = np.array([quadratic_pi_quad(i, theta_hat, theta_lo, theta_hi, var0)
                    for i in range(theta_hat.size)])
     return PaymentRule(pi=pi, K=K, S=S, efforts=efforts)
 
@@ -565,10 +571,10 @@ def effort_general(model: CostModel, type_dist: CostTypeDistribution,
 
 
 def general_objective_hessian(model: CostModel, type_dist: CostTypeDistribution,
-                              var0: float, theta_hat, q, h: float = 1e-5
-                              ) -> np.ndarray:
+                              var0: float, theta_hat, q) -> np.ndarray:
     """Finite-difference Hessian of the effort objective at q (for concavity
     checks; strictly regular models give a negative-definite matrix)."""
+    h = 1e-5
     theta_hat = np.asarray(theta_hat, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.size
@@ -590,86 +596,43 @@ def general_objective_hessian(model: CostModel, type_dist: CostTypeDistribution,
     return H
 
 
-def payment_rule_general(model: CostModel, schedule: "EffortSchedule",
+def payment_rule_general(model: CostModel, efforts: Callable,
                          type_dist: CostTypeDistribution, theta_hat,
-                         var0: float,
-                         agent_risk: Optional[Callable] = None,
-                         agent_risk_deriv: Optional[Callable] = None,
-                         quad_tol: float = 1e-10,
-                         quad_limit: int = 60) -> PaymentRule:
-    """Transfers for an arbitrary cost model given its effort schedule.
+                         var0: float) -> PaymentRule:
+    """Transfers for an arbitrary cost model given its effort rule, a function
+    from the report vector to the designated efforts (effort_general or a
+    closed-form rule, bound with functools.partial).
 
-    K = -c(Q, theta_hat)/(dhA/dq at Q) and S = K * hA(Q) for an agent risk
-    hA (Gaussian posterior risk by default); pi covers the cost at the
-    designated effort plus the information rent, integrating the
-    type-derivative of the total cost along the schedule.
+    Every designated effort Q comes from one efforts(theta_hat) call.  K =
+    -c(Q, theta_hat)/(dhA/dq at Q) and S = K * hA(Q) for the agent's Gaussian
+    posterior risk hA; pi covers the cost at the designated effort plus the
+    information rent, integrating the type-derivative of the total cost along
+    the rule in the agent's own report z, the rivals' reports held fixed.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     prior = GaussianPrior(0.0, var0)
-    agent_risk = agent_risk or functools.partial(agent_bayes_risk, prior)
-    agent_risk_deriv = agent_risk_deriv or functools.partial(
-        agent_bayes_risk_deriv, prior)
-
-    n = theta_hat.size
-    pi, K, S, efforts = (np.zeros(n) for _ in range(4))
-    for i in range(n):
-        rest = np.delete(theta_hat, i)
-        Q = schedule.eval(float(theta_hat[i]), rest)
-        efforts[i] = Q
+    q = efforts(theta_hat)
+    pi, K, S = (np.zeros(theta_hat.size) for _ in range(3))
+    reports = theta_hat.copy()
+    for i, Q in enumerate(q):
         if Q <= 0.0:
             continue   # not recruited: no transfer at all
         c = float(model.marginal(Q, theta_hat[i]))
-        dh = float(agent_risk_deriv(Q))
         if c != 0.0:
-            if dh == 0.0:
-                raise SingularPaymentRule(
-                    f"agent risk slope is zero at effort {Q}")
-            K[i] = -c / dh
-            S[i] = K[i] * float(agent_risk(Q))
+            K[i] = -c / float(agent_bayes_risk_deriv(prior, Q))
+            S[i] = K[i] * float(agent_bayes_risk(prior, Q))
+
+        def effort_i(z):
+            reports[i] = z
+            return efforts(reports)[i]
+
         rent, _ = integrate.quad(
-            lambda z: fd_total_dtheta(model, schedule.eval(z, rest), z),
+            lambda z: fd_total_dtheta(model, effort_i(z), z),
             float(theta_hat[i]), type_dist.theta_hi,
-            epsabs=quad_tol, epsrel=quad_tol, limit=quad_limit)
+            epsabs=1e-10, epsrel=1e-10, limit=60)
+        reports[i] = theta_hat[i]
         pi[i] = float(model.total(Q, theta_hat[i])) + rent
-    return PaymentRule(pi=pi, K=K, S=S, efforts=efforts)
-
-
-# ---------------------------------------------------------------------------
-# effort schedules as first-class objects
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EffortSchedule:
-    """Designated effort for one agent as a function of (own report, others'
-    reports)."""
-    kind: str
-    eval_fn: Callable
-
-    def eval(self, theta_n: float, theta_rest=()) -> float:
-        return float(self.eval_fn(float(theta_n), np.asarray(theta_rest, dtype=float)))
-
-
-def linear_schedule(theta_lo: float, var0: float) -> EffortSchedule:
-    def ev(theta_n, rest):
-        if rest.size and rest.min() < theta_n:
-            return 0.0
-        return float(linear_effort_at(theta_n, theta_lo, var0))
-    return EffortSchedule(kind="linear", eval_fn=ev)
-
-
-def quadratic_schedule(theta_lo: float, var0: float) -> EffortSchedule:
-    def ev(theta_n, rest):
-        full = np.concatenate(([theta_n], rest))
-        return float(effort_quadratic(full, theta_lo, var0)[0])
-    return EffortSchedule(kind="quadratic", eval_fn=ev)
-
-
-def general_schedule(model: CostModel, type_dist: CostTypeDistribution,
-                     var0: float) -> EffortSchedule:
-    def ev(theta_n, rest):
-        full = np.concatenate(([theta_n], rest))
-        return float(effort_general(model, type_dist, var0, full)[0])
-    return EffortSchedule(kind="general", eval_fn=ev)
+    return PaymentRule(pi=pi, K=K, S=S, efforts=q)
 
 
 # ---------------------------------------------------------------------------
@@ -708,17 +671,19 @@ class SweepReport:
     max_increase: float
 
 
-def schedule_monotonicity_report(schedule: EffortSchedule, theta_rest,
+def schedule_monotonicity_report(efforts: Callable, theta_rest,
                                  theta_lo: float, theta_hi: float,
-                                 n: int = 200, slack: float = 1e-10) -> SweepReport:
-    """Designated effort must not increase in the agent's own report."""
+                                 n: int = 200) -> SweepReport:
+    """Designated effort must not increase in the agent's own report (slack
+    1e-10)."""
     lo_eps = theta_lo + max(1e-9, 1e-9 * (theta_hi - theta_lo))
     grid = np.linspace(lo_eps, theta_hi, n)
-    efforts = np.array([schedule.eval(t, theta_rest) for t in grid])
-    diffs = np.diff(efforts)
+    q = np.array([own_effort(efforts, t, theta_rest) for t in grid])
+    diffs = np.diff(q)
     max_inc = float(diffs.max()) if diffs.size else 0.0
-    return SweepReport(theta_grid=grid, efforts=efforts,
-                       nonincreasing=bool(max_inc <= slack), max_increase=max_inc)
+    return SweepReport(theta_grid=grid, efforts=q,
+                       nonincreasing=bool(max_inc <= 1e-10),
+                       max_increase=max_inc)
 
 
 @dataclass(frozen=True)
@@ -729,12 +694,13 @@ class RatioReport:
     passes_half: bool       # sufficient condition for truthful bidding
 
 
-def sufficient_ratio_report(schedule: EffortSchedule, theta_rest,
-                            theta_lo: float, theta_hi: float, var0: float,
-                            n: int = 60, tol: float = 1e-6) -> RatioReport:
-    """Elasticity-style ratio whose lower bound 1/2 is a sufficient (not
-    necessary) condition for truthful type reports.  Reported as measured;
-    consumers decide what to conclude when it dips below 1/2."""
+def sufficient_ratio_report(efforts: Callable, theta_rest,
+                            theta_lo: float, theta_hi: float,
+                            var0: float) -> RatioReport:
+    """Elasticity-style ratio on a 60-point grid whose lower bound 1/2 is a
+    sufficient (not necessary) condition for truthful type reports.  Reported
+    as measured; consumers decide what to conclude when it dips below 1/2."""
+    n = 60
     prec = 1.0 / var0
     lo_eps = theta_lo + max(1e-6, 1e-6 * (theta_hi - theta_lo))
     grid = np.linspace(lo_eps, theta_hi * (1 - 1e-9), n)
@@ -742,12 +708,13 @@ def sufficient_ratio_report(schedule: EffortSchedule, theta_rest,
     for i, t in enumerate(grid):
         # keep the backward probe strictly above theta_lo
         h = min(1e-6 * max(1.0, t), 0.5 * (t - theta_lo))
-        q = schedule.eval(t, theta_rest)
+        q = own_effort(efforts, t, theta_rest)
         if q <= 0 or h <= 0:
             continue
-        dq = (schedule.eval(t + h, theta_rest) - schedule.eval(t - h, theta_rest)) / (2 * h)
+        dq = (own_effort(efforts, t + h, theta_rest)
+              - own_effort(efforts, t - h, theta_rest)) / (2 * h)
         ratios[i] = -dq * t / (q + prec)
     valid = ratios[~np.isnan(ratios)]
     min_ratio = float(valid.min()) if valid.size else math.inf
     return RatioReport(theta_grid=grid, ratios=ratios, min_ratio=min_ratio,
-                       passes_half=bool(min_ratio >= 0.5 - tol))
+                       passes_half=bool(min_ratio >= 0.5 - 1e-6))

@@ -119,9 +119,11 @@ class CostTypeDistribution:
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
-    def cdf_is_log_concave(self, n_grid: int = 257, tol: float = 1e-7) -> bool:
-        """Second differences of log F must be <= tol on the interior."""
-        theta = np.linspace(self.theta_lo, self.theta_hi, n_grid)[1:]
+    def cdf_is_log_concave(self) -> bool:
+        """Second differences of log F on a 257-point grid must be <= 1e-7
+        (relative) on the interior."""
+        tol = 1e-7
+        theta = np.linspace(self.theta_lo, self.theta_hi, 257)[1:]
         logf = np.log(np.maximum(self.cdf(theta), 1e-300))
         second = logf[:-2] - 2.0 * logf[1:-1] + logf[2:]
         h = theta[1] - theta[0]

@@ -1,6 +1,7 @@
 """Cost families, numeric regularity checks, schedule sensitivity condition."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import given, strategies as st
 
 from copesim.costs import (check_regularity, cost, general_cost, linear_cost,
                            quadratic_cost, theorem3_condition)
-from copesim.mechanism import EffortSchedule, linear_schedule, quadratic_schedule
+from copesim.mechanism import effort_linear, effort_quadratic
+
+
+def linear_rule(var0):
+    return partial(effort_linear, theta_lo=0.0, var0=var0)
+
+
+def quadratic_rule(var0):
+    return partial(effort_quadratic, theta_lo=0.0, var0=var0)
 
 
 # -- totals -------------------------------------------------------------------
@@ -82,7 +91,7 @@ def test_decreasing_marginal_is_flagged():
 
 def test_sensitivity_holds_on_linear_schedule_where_active():
     grid = np.linspace(0.05, 0.95, 41)
-    rep = theorem3_condition(linear_cost(), linear_schedule(0.0, 1.0), grid)
+    rep = theorem3_condition(linear_cost(), linear_rule(1.0), grid)
     assert rep.ok_where_active
     assert np.any(rep.efforts > 0)
 
@@ -92,7 +101,7 @@ def test_sensitivity_holds_on_quadratic_schedule():
     # the lower type boundary; an informative prior deflates the offset term
     # below the threshold (see the elasticity report test in test_mechanism)
     grid = np.linspace(0.10, 0.95, 41)
-    rep = theorem3_condition(quadratic_cost(), quadratic_schedule(0.0, math.inf),
+    rep = theorem3_condition(quadratic_cost(), quadratic_rule(math.inf),
                              grid, var0=math.inf, theta_rest=(0.4, 0.7))
     assert rep.ok_where_active
     assert np.all(rep.efforts > 0)
@@ -103,11 +112,11 @@ def test_sensitivity_fails_near_lower_boundary_and_under_informative_prior():
     # honest record of where the condition breaks: the offset ratio tends to
     # 1/3 at the boundary, and a unit-variance prior pushes it below 1/2
     # everywhere on this grid
-    lo = theorem3_condition(quadratic_cost(), quadratic_schedule(0.0, math.inf),
+    lo = theorem3_condition(quadratic_cost(), quadratic_rule(math.inf),
                             np.linspace(0.01, 0.05, 5), var0=math.inf,
                             theta_rest=(0.4, 0.7))
     assert not lo.ok_where_active
-    info = theorem3_condition(quadratic_cost(), quadratic_schedule(0.0, 1.0),
+    info = theorem3_condition(quadratic_cost(), quadratic_rule(1.0),
                               np.linspace(0.10, 0.95, 41), var0=1.0,
                               theta_rest=(0.4, 0.7))
     assert not info.ok_where_active
@@ -115,7 +124,7 @@ def test_sensitivity_fails_near_lower_boundary_and_under_informative_prior():
 
 def test_sensitivity_fails_on_constant_schedule():
     # a schedule that ignores the report cannot offset the rising marginal
-    flat = EffortSchedule(kind="general", eval_fn=lambda t, rest: 1.0)
+    flat = lambda reports: np.ones(len(reports))
     grid = np.linspace(0.05, 0.95, 41)
     rep = theorem3_condition(linear_cost(), flat, grid)
     assert not rep.ok_where_active

@@ -136,6 +136,20 @@ def test_seeded_tie_break_is_deterministic(make_scenario):
     assert set(winners) == {0, 1}
 
 
+def test_general_trial_recruits_one_agent_on_a_linear_tie(make_scenario):
+    # tied reports under linear cost: the general path recruits and pays the
+    # same single agent as the closed-form path
+    scen = make_scenario(LINEAR, 2, var0=4.0)
+    settings = EngineSettings(fixed_types=(0.3, 0.3))
+    gen = run_trial(scen, COPE_GENERAL, TRUTHFUL, seed=3, trial_index=0,
+                    settings=settings)
+    lin = run_trial(scen, COPE_LINEAR, TRUTHFUL, seed=3, trial_index=0,
+                    settings=settings)
+    assert np.count_nonzero(gen.efforts) == 1
+    assert np.allclose(gen.efforts, lin.efforts, rtol=0.0, atol=1e-9)
+    assert np.allclose(gen.payments, lin.payments, rtol=0.0, atol=1e-8)
+
+
 def test_best_response_mode_stays_near_truth(make_scenario):
     settings = EngineSettings(br_grid=21, br_mc=500)
     for kind, mech in ((LINEAR, COPE_LINEAR), (QUADRATIC, COPE_QUADRATIC)):

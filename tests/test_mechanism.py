@@ -7,6 +7,7 @@ does not share code with the implementation.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ from copesim.costs import (LINEAR, QUADRATIC, general_cost, linear_cost,
 from copesim.model import CostTypeDistribution, GaussianPrior, posterior_mean_var
 
 U01 = CostTypeDistribution.uniform(0.0, 1.0)
+
+
+def linear_rule(var0):
+    return partial(mechanism.effort_linear, theta_lo=0.0, var0=var0)
+
+
+def quadratic_rule(var0):
+    return partial(mechanism.effort_quadratic, theta_lo=0.0, var0=var0)
 
 
 # -- linear-cost effort schedule ----------------------------------------------
@@ -257,7 +266,8 @@ def test_quadratic_batch_matches_per_agent_rule():
 
 def _tail_grid_cases():
     """(var0, reports) cases: the own report (index 0) at 1e-6, within 1e-4
-    of theta_hi = 1 or uniform, the rivals uniform on [0, 1]."""
+    of theta_hi = 1 or uniform, the rivals uniform on [0, 1]; then the own
+    report at 10^U(-7, -3) with a rival within a factor of 100 above it."""
     gen = np.random.Generator(np.random.Philox(77005))
     for var0 in (0.25, 1.0, 4.0, math.inf):
         for n in (2, 7, 19):
@@ -269,6 +279,13 @@ def _tail_grid_cases():
                     elif own == "top":
                         theta[0] = 1.0 - gen.uniform(0.0, 1e-4)
                     yield var0, theta
+    for var0 in (0.25, 1.0, 4.0, math.inf):
+        for n in (2, 3, 7, 19):
+            for _ in range(10):
+                theta = gen.uniform(0.0, 1.0, n)
+                theta[0] = 10.0 ** gen.uniform(-7.0, -3.0)
+                theta[1] = theta[0] * 10.0 ** gen.uniform(0.0, 2.0)
+                yield var0, theta
     # a rival just above a report at the bottom of the support, where the
     # schedule changes fastest
     yield 1.0, np.array([1e-6, 2e-6])
@@ -455,9 +472,8 @@ def test_general_solver_rejects_free_effort():
 def test_general_payment_reduces_to_linear_identity():
     # K = -c/hA' at Q: for linear cost and var0 = 4 the winner report 0.5
     # gives Q = 1 - 1/4 ... K = theta_hat/gamma = 0.5
-    sched = mechanism.linear_schedule(0.0, 4.0)
-    rule = mechanism.payment_rule_general(linear_cost(), sched, U01,
-                                          [0.5, 0.9], 4.0)
+    rule = mechanism.payment_rule_general(linear_cost(), linear_rule(4.0),
+                                          U01, [0.5, 0.9], 4.0)
     assert rule.K[0] == pytest.approx(0.5, rel=1e-10)
     assert rule.S[0] == pytest.approx(
         0.5 * (1.0 / (0.25 + rule.efforts[0])), rel=1e-10)
@@ -465,8 +481,8 @@ def test_general_payment_reduces_to_linear_identity():
 
 def test_general_payment_matches_quadratic_rule():
     theta = [0.5]
-    sched = mechanism.quadratic_schedule(0.0, math.inf)
-    got = mechanism.payment_rule_general(quadratic_cost(), sched, U01, theta,
+    got = mechanism.payment_rule_general(quadratic_cost(),
+                                         quadratic_rule(math.inf), U01, theta,
                                          math.inf)
     want = mechanism.payment_rule_quadratic(theta, 0.0, 1.0, math.inf)
     assert got.K[0] == pytest.approx(want.K[0], abs=1e-8)
@@ -475,8 +491,7 @@ def test_general_payment_matches_quadratic_rule():
 
 
 def test_general_payment_zero_for_free_effort():
-    free = mechanism.EffortSchedule(kind="general",
-                                    eval_fn=lambda t, rest: 1.0)
+    free = lambda reports: np.ones(len(reports))
     zero_cost = general_cost(marginal=lambda q, theta: 0.0 * np.asarray(q, float),
                              total=lambda q, theta: 0.0 * np.asarray(q, float))
     rule = mechanism.payment_rule_general(zero_cost, free, U01, [0.3], 1.0)
@@ -485,19 +500,23 @@ def test_general_payment_zero_for_free_effort():
 
 
 def test_general_payment_skips_non_recruited():
-    sched = mechanism.linear_schedule(0.0, 1.0)
-    rule = mechanism.payment_rule_general(linear_cost(), sched, U01,
-                                          [0.125, 0.9], 1.0)
+    rule = mechanism.payment_rule_general(linear_cost(), linear_rule(1.0),
+                                          U01, [0.125, 0.9], 1.0)
     assert rule.efforts[1] == 0.0
     assert rule.K[1] == 0.0 and rule.S[1] == 0.0 and rule.pi[1] == 0.0
 
 
-def test_general_payment_singular_risk_slope_raises():
-    sched = mechanism.linear_schedule(0.0, 1.0)
-    with pytest.raises(mechanism.SingularPaymentRule):
-        mechanism.payment_rule_general(linear_cost(), sched, U01, [0.125], 1.0,
-                                       agent_risk=lambda q: 1.0,
-                                       agent_risk_deriv=lambda q: 0.0)
+def test_general_payment_recruits_one_agent_on_a_tie():
+    # the linear rule breaks the tie to the lowest index, and the transfers
+    # follow the efforts it designates for the whole report vector
+    rule = mechanism.payment_rule_general(linear_cost(), linear_rule(4.0),
+                                          U01, [0.3, 0.3], 4.0)
+    assert np.count_nonzero(rule.efforts) == 1
+    assert rule.efforts[1] == 0.0
+    assert rule.K[1] == 0.0 and rule.S[1] == 0.0 and rule.pi[1] == 0.0
+    want = mechanism.payment_rule_linear([0.3, 0.3], 0.0, 1.0, 4.0)
+    assert np.allclose(rule.efforts, want.efforts, rtol=0.0, atol=1e-12)
+    assert np.allclose(rule.pi, want.pi, rtol=0.0, atol=1e-8)
 
 
 # -- predictor ----------------------------------------------------------------
@@ -551,8 +570,8 @@ def test_predict_batch_rows_match_posterior():
 # -- schedule diagnostics -----------------------------------------------------
 
 @pytest.mark.parametrize("sched,rest", [
-    (mechanism.linear_schedule(0.0, 1.0), ()),
-    (mechanism.quadratic_schedule(0.0, 1.0), (0.4, 0.7)),
+    (linear_rule(1.0), ()),
+    (quadratic_rule(1.0), (0.4, 0.7)),
 ])
 def test_schedules_nonincreasing_in_own_report(sched, rest):
     rep = mechanism.schedule_monotonicity_report(sched, rest, 0.0, 1.0, n=200)
@@ -562,8 +581,8 @@ def test_schedules_nonincreasing_in_own_report(sched, rest):
 
 def test_linear_elasticity_sits_at_one_half():
     # -Q'(t) t / (Q + 1/var0) = t/(2t - lo) = 1/2 exactly for lo = 0
-    rep = mechanism.sufficient_ratio_report(mechanism.linear_schedule(0.0, 1.0),
-                                            (), 0.0, 1.0, 1.0)
+    rep = mechanism.sufficient_ratio_report(linear_rule(1.0), (), 0.0, 1.0,
+                                            1.0)
     # skip the t=1e-6 node: its step is clamped to (t - lo)/2 and the central
     # difference truncation error dominates there
     keep = (~np.isnan(rep.ratios)) & (rep.theta_grid >= 1e-3)
@@ -577,8 +596,8 @@ def test_quadratic_elasticity_reported_honestly():
     # the 1/2 lower bound is sufficient, not necessary; with an informative
     # prior the measured ratio dips below it near the boundaries, and the
     # report must say so rather than smooth it over
-    rep = mechanism.sufficient_ratio_report(
-        mechanism.quadratic_schedule(0.0, 1.0), (0.4, 0.7), 0.0, 1.0, 1.0)
+    rep = mechanism.sufficient_ratio_report(quadratic_rule(1.0), (0.4, 0.7),
+                                            0.0, 1.0, 1.0)
     assert np.isfinite(rep.min_ratio)
     assert rep.min_ratio == pytest.approx(np.nanmin(rep.ratios))
     assert not rep.passes_half
