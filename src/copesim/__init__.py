@@ -14,7 +14,7 @@ from .model import (GaussianPrior, CostTypeDistribution, Scenario,
 from .costs import (CostModel, linear_cost, quadratic_cost, general_cost, cost,
                     check_regularity, LINEAR, QUADRATIC, GENERAL)
 from .mechanism import (PaymentRule, SolverError, effort_linear,
-                        effort_quadratic, effort_general, solve_W, cubic_root,
+                        effort_quadratic, effort_general, cubic_root,
                         payment_rule_linear, payment_rule_quadratic,
                         payment_rule_general, predict_batch)
 from .agents import (truthful_report_obs, interim_payoff, best_response_type,

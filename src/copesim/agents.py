@@ -94,18 +94,11 @@ def _linear_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
     """(n_candidates, n_mc) payoff matrix for deviation reports under the
     linear-cost mechanism; theta_hat may be scalar or vector."""
     dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
-    var0 = scenario.prior.var0
     prec = scenario.prior.precision
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))[:, None]   # (C,1)
-    m = rivals.min(axis=1)[None, :] if rivals.shape[1] else \
-        np.full((1, rivals.shape[0]), np.inf)                          # (1,D)
-    win = th < m
-    Q = mechanism.linear_effort_at(th, lo, var0)                       # (C,1)
-    g = 2.0 * th - lo
-    K = th / g
-    S = th * g ** -0.5
-    pi = th * Q + mechanism.linear_tail_closed(th, np.minimum(hi, m), lo, var0)
+    m = rivals.min(axis=1, initial=np.inf)                             # (D,)
+    pi, K, S, Q = mechanism.linear_winner_components(
+        th, np.minimum(dist.theta_hi, m), dist.theta_lo, scenario.prior.var0)
     if effort_policy == "optimal":
         q = optimal_effort_linear(K, theta, prec)
     elif effort_policy == "designated":
@@ -114,8 +107,7 @@ def _linear_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
         q = float(effort_policy) + np.zeros_like(th)
     inner = pi - K / (prec + q) + S - theta * q
     # zero rule: a winner whose designated effort clamps to 0 is not paid
-    payoff = np.where(win & (Q > 0.0), inner, 0.0)
-    return payoff
+    return np.where((th < m) & (Q > 0.0), inner, 0.0)
 
 
 def _quadratic_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
@@ -125,19 +117,11 @@ def _quadratic_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
     var0 = scenario.prior.var0
     prec = scenario.prior.precision
     th_c = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    gam_rest = 2.0 * rivals - lo
-    s_rest = (1.0 / gam_rest).sum(axis=1) if rivals.shape[1] else \
-        np.zeros(rivals.shape[0])                                      # (D,)
+    s_rest = mechanism.inverse_cost_sum(rivals, lo)                    # (D,)
     out = np.empty((th_c.size, s_rest.size))
     for i, th in enumerate(th_c):
-        gam = mechanism._virtual_costs(th, lo)
-        W = mechanism.cubic_root(prec, s_rest + 1.0 / gam)
-        Q = 1.0 / (gam * W * W)                                        # (D,)
-        K = (prec + Q) ** 2 * Q * th
-        S = (prec + Q) * Q * th
-        tail = mechanism.quadratic_pi_tail_gl(np.full_like(s_rest, th), s_rest,
-                                              lo, hi, var0)
-        pi = 0.5 * (th * Q ** 2 + tail)
+        Q = mechanism.quadratic_effort_at(th, s_rest, lo, var0)        # (D,)
+        pi, K, S = mechanism.quadratic_transfers(th, Q, s_rest, lo, hi, var0)
         if effort_policy == "optimal":
             q = reward_effort_quadratic(K, theta, prec)
         elif effort_policy == "designated":
@@ -165,6 +149,19 @@ def _homogeneous_payoff(theta: float, scenario: Scenario, contract) -> float:
     return payoff if payoff >= 0.0 else 0.0   # negative -> opt out, payoff 0
 
 
+def _closed_form_kind(scenario: Scenario) -> str:
+    """Cost kind of a scenario with closed-form COPE transfers: linear or
+    quadratic cost with uniform types, whose virtual cost 2*theta - theta_lo
+    the transfers are written for."""
+    kind = scenario.cost_kind
+    if kind not in (LINEAR, QUADRATIC):
+        raise ValueError(
+            f"no closed-form COPE transfers for cost kind {kind!r}")
+    if scenario.type_dist.kind != "uniform":
+        raise ValueError("the closed-form COPE transfers need uniform types")
+    return kind
+
+
 def _payoff_matrix(theta: float, candidates, effort_policy, mech: str,
                    scenario: Scenario, rivals: np.ndarray,
                    contract=None) -> np.ndarray:
@@ -176,16 +173,9 @@ def _payoff_matrix(theta: float, candidates, effort_policy, mech: str,
         return np.full((n_c, rivals.shape[0]), value)
     if mech != "cope":
         raise ValueError(f"unknown mechanism {mech!r}")
-    kind = scenario.cost_kind
-    if kind == LINEAR:
-        return _linear_payoff_draws(theta, candidates, rivals, scenario,
-                                    effort_policy)
-    if kind == QUADRATIC:
-        return _quadratic_payoff_draws(theta, candidates, rivals, scenario,
-                                       effort_policy)
-    raise ValueError(
-        "the best-response oracle needs a closed-form payment path; "
-        f"cost kind {kind!r} is not supported")
+    draws = (_linear_payoff_draws if _closed_form_kind(scenario) == LINEAR
+             else _quadratic_payoff_draws)
+    return draws(theta, candidates, rivals, scenario, effort_policy)
 
 
 def interim_payoff(theta: float, theta_hat: float, effort_policy,
@@ -255,15 +245,10 @@ def best_response_effort(theta: float, scenario: Scenario,
     var0 = scenario.prior.var0
     prec = scenario.prior.precision
     rest = np.asarray(theta_rest, dtype=float)
-    kind = scenario.cost_kind
-    reports = np.concatenate([[theta_hat], rest])
-    if kind == LINEAR:
-        rule = mechanism.payment_rule_linear(reports, lo, hi, var0)
-    elif kind == QUADRATIC:
-        rule = mechanism.payment_rule_quadratic(reports, lo, hi, var0)
-    else:
-        raise ValueError(
-            f"best_response_effort supports closed payment paths, not {kind!r}")
+    payment_rule = (mechanism.payment_rule_linear
+                    if _closed_form_kind(scenario) == LINEAR
+                    else mechanism.payment_rule_quadratic)
+    rule = payment_rule(np.concatenate([[theta_hat], rest]), lo, hi, var0)
     K, S, pi = rule.K[0], rule.S[0], rule.pi[0]
     if K == 0.0:
         return 0.0   # payoff strictly decreasing in effort
@@ -296,20 +281,11 @@ def information_rent(theta: float, scenario: Scenario, n_mc: int = 10_000,
     lo, hi = dist.theta_lo, dist.theta_hi
     var0 = scenario.prior.var0
     rivals = _rival_types(scenario, n_mc, seed)
-    kind = scenario.cost_kind
-    if kind == LINEAR:
-        m = rivals.min(axis=1) if rivals.shape[1] else \
-            np.full(rivals.shape[0], np.inf)
-        draws = mechanism.linear_tail_closed(theta, np.minimum(hi, m), lo, var0)
-    elif kind == QUADRATIC:
-        gam_rest = 2.0 * rivals - lo
-        s_rest = (1.0 / gam_rest).sum(axis=1) if rivals.shape[1] else \
-            np.zeros(rivals.shape[0])
-        tail = mechanism.quadratic_pi_tail_gl(np.full_like(s_rest, theta),
-                                              s_rest, lo, hi, var0)
-        draws = 0.5 * tail
+    if _closed_form_kind(scenario) == LINEAR:
+        draws = mechanism.linear_tail_closed(
+            theta, np.minimum(hi, rivals.min(axis=1, initial=np.inf)), lo, var0)
     else:
-        raise ValueError(f"no closed-form rent for cost kind {kind!r}")
-    draws = np.asarray(draws, dtype=float)
+        draws = 0.5 * mechanism.quadratic_pi_tail_gl(
+            theta, mechanism.inverse_cost_sum(rivals, lo), lo, hi, var0)
     se = float(draws.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return InterimPayoff(value=float(draws.mean()), se=se, n_mc=n_mc)

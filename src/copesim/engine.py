@@ -112,6 +112,10 @@ def check_pairing(scenario: Scenario, mech: MechanismSpec) -> None:
         raise ValueError("cope-linear needs a linear cost scenario")
     if mech.kind == "cope-quadratic" and kind != QUADRATIC:
         raise ValueError("cope-quadratic needs a quadratic cost scenario")
+    if mech.kind in ("cope-linear", "cope-quadratic") and \
+            scenario.type_dist.kind != "uniform":
+        # their transfers are written for the uniform virtual cost
+        raise ValueError(f"{mech.kind} needs uniform types; use cope-general")
     if mech.kind in ("centralized", "homogeneous") and kind not in (LINEAR, QUADRATIC):
         raise ValueError(f"{mech.kind} benchmark needs linear or quadratic cost")
 

@@ -77,15 +77,14 @@ def effort_linear(theta_hat, theta_lo: float, var0: float,
                   tie_break: str = "lowest-index",
                   tie_uniform: Optional[float] = None) -> np.ndarray:
     """Designated efforts under linear cost: the lowest bidder is asked for
-    max{(2*theta - theta_lo)^(-1/2) - 1/var0, 0}, everyone else for 0."""
+    linear_effort_at its report, everyone else for 0."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     winner = argmin_winner(theta_hat, tie_break, tie_uniform)
     q = np.zeros(theta_hat.shape)
     # the winner holds the lowest report, so its virtual cost is the least
-    gamma = 2.0 * theta_hat[winner] - theta_lo
-    if gamma <= 0:
+    if 2.0 * theta_hat[winner] - theta_lo <= 0:
         raise ValueError("virtual cost must be positive for every report")
-    q[winner] = max(gamma ** -0.5 - 1.0 / var0, 0.0)
+    q[winner] = linear_effort_at(theta_hat[winner], theta_lo, var0)
     return q
 
 
@@ -119,21 +118,31 @@ def cubic_root(a, b):
     return W
 
 
-def solve_W(theta_hat, theta_lo: float, var0: float) -> float:
-    """Aggregate-precision root W for the quadratic-cost schedule."""
-    b = float(np.sum(1.0 / _virtual_costs(theta_hat, theta_lo)))
-    a = 1.0 / var0
-    if a == 0.0 and b == 0.0:
-        raise ValueError("degenerate cubic: no positive root")
-    return float(cubic_root(a, b))
+def _quadratic_schedule(theta_hat, theta_lo: float, var0: float):
+    """(q, 1/gamma, sum of 1/gamma) under quadratic cost for (..., N) reports:
+    q_n = 1/(gamma_n W^2) with W^3 - W^2/var0 = sum of 1/gamma_n."""
+    inv_gamma = 1.0 / _virtual_costs(theta_hat, theta_lo)
+    s_total = inv_gamma.sum(axis=-1, keepdims=True)
+    W = cubic_root(1.0 / var0, s_total)
+    return inv_gamma / (W * W), inv_gamma, s_total
 
 
 def effort_quadratic(theta_hat, theta_lo: float, var0: float) -> np.ndarray:
-    """Designated efforts under quadratic cost: q_n = 1/(gamma_n W^2), all
-    strictly positive."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    W = solve_W(theta_hat, theta_lo, var0)
-    return 1.0 / ((2.0 * theta_hat - theta_lo) * W ** 2)
+    """Designated efforts under quadratic cost, all strictly positive."""
+    return _quadratic_schedule(theta_hat, theta_lo, var0)[0]
+
+
+def quadratic_effort_at(theta, s_rest, theta_lo: float, var0: float):
+    """Quadratic-cost effort of an agent reporting theta whose rivals' 1/gamma
+    sum to s_rest: 1/(gamma W^2), W^3 - W^2/var0 = s_rest + 1/gamma."""
+    inv_gamma = 1.0 / _virtual_costs(theta, theta_lo)
+    W = cubic_root(1.0 / var0, s_rest + inv_gamma)
+    return inv_gamma / (W * W)
+
+
+def inverse_cost_sum(theta_rest, theta_lo: float) -> np.ndarray:
+    """Rival reports' summed inverse virtual costs 1/gamma, last axis."""
+    return (1.0 / _virtual_costs(theta_rest, theta_lo)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +221,21 @@ def linear_tail_closed(a, b, theta_lo: float, var0: float) -> np.ndarray:
     return np.where(hi > lo_, anti(hi) - anti(lo_), 0.0)
 
 
-def linear_pi_closed(theta_hat_win, tail_upper, theta_lo: float,
-                     var0: float) -> np.ndarray:
-    """Closed form of the winner's payment given the effective tail upper
-    limit (min of theta_hi and the lowest rival report), 0 where the
-    designated effort is 0; fast path verified against linear_pi_quad in
-    tests.  Vectorized."""
-    th = np.asarray(theta_hat_win, dtype=float)
+def linear_winner_components(theta_win, tail_upper, theta_lo: float,
+                             var0: float):
+    """(pi, K, S, q) of the recruited agent under linear cost, given its
+    report and the upper limit of its rent tail (the lowest rival report,
+    capped at theta_hi); all 0 where the designated effort q is 0.  pi is the
+    cost theta*q plus the closed-form tail, verified against linear_pi_quad
+    in tests.  Vectorized over broadcastable arrays."""
+    th = np.asarray(theta_win, dtype=float)
+    g = 2.0 * th - theta_lo
     q = linear_effort_at(th, theta_lo, var0)
-    return th * q + np.where(q > 0,
-                             linear_tail_closed(th, tail_upper, theta_lo, var0),
-                             0.0)
+    live = q > 0.0
+    pi = th * q + np.where(live, linear_tail_closed(th, tail_upper, theta_lo,
+                                                    var0), 0.0)
+    return (pi, np.where(live, th / g, 0.0), np.where(live, th * g ** -0.5, 0.0),
+            q)
 
 
 def linear_components_batch(theta_hat: np.ndarray, winner: np.ndarray,
@@ -235,46 +248,29 @@ def linear_components_batch(theta_hat: np.ndarray, winner: np.ndarray,
     used by the simulation engine."""
     T, n = theta_hat.shape
     rows = np.arange(T)
-    th_w = theta_hat[rows, winner]
-    g = 2.0 * th_w - theta_lo
-    q = np.zeros_like(theta_hat)
-    q[rows, winner] = q_w = linear_effort_at(th_w, theta_lo, var0)
-    live = q_w > 0.0
     second = np.partition(theta_hat, 1, axis=1)[:, 1] if n > 1 else \
         np.full(T, np.inf)
-    pi = linear_pi_closed(th_w, np.minimum(theta_hi, second), theta_lo, var0)
-    return (pi, np.where(live, th_w / g, 0.0),
-            np.where(live, th_w * g ** -0.5, 0.0), q)
+    pi, K, S, q_w = linear_winner_components(
+        theta_hat[rows, winner], np.minimum(theta_hi, second), theta_lo, var0)
+    q = np.zeros_like(theta_hat)
+    q[rows, winner] = q_w
+    return pi, K, S, q
 
 
 def payment_rule_linear(theta_hat, theta_lo: float, theta_hi: float,
                         var0: float, tie_break: str = "lowest-index",
                         tie_uniform: Optional[float] = None) -> PaymentRule:
-    """Transfers under linear cost: only the winner is paid.  If the winner's
-    designated effort clamps to 0 the rule is identically zero."""
+    """Transfers under linear cost, one row of linear_components_batch: only
+    the winner is paid, and the rule is identically zero if its designated
+    effort clamps to 0."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    efforts = effort_linear(theta_hat, theta_lo, var0, tie_break, tie_uniform)
-    n = theta_hat.size
-    pi = np.zeros(n)
-    K = np.zeros(n)
-    S = np.zeros(n)
-    winner = int(np.argmax(efforts > 0)) if np.any(efforts > 0) else None
-    if winner is not None:
-        th = theta_hat[winner]
-        g = 2.0 * th - theta_lo
-        K[winner] = th / g
-        S[winner] = th * g ** -0.5
-        rest = np.delete(theta_hat, winner)
-        pi[winner] = linear_pi_quad(th, rest, theta_lo, theta_hi, var0)
-    return PaymentRule(pi=pi, K=K, S=S, efforts=efforts)
-
-
-def _quadratic_KS(theta_hat: np.ndarray, efforts: np.ndarray, var0: float
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    prec = 1.0 / var0
-    K = (efforts + prec) ** 2 * theta_hat * efforts
-    S = (efforts + prec) * theta_hat * efforts
-    return K, S
+    _virtual_costs(theta_hat, theta_lo)       # every virtual cost positive
+    winner = argmin_winner(theta_hat, tie_break, tie_uniform)
+    *terms, q = linear_components_batch(theta_hat[None], np.array([winner]),
+                                        theta_lo, theta_hi, var0)
+    pi, K, S = (np.where(np.arange(theta_hat.size) == winner, t, 0.0)
+                for t in terms)
+    return PaymentRule(pi=pi, K=K, S=S, efforts=q[0])
 
 
 def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
@@ -331,33 +327,37 @@ def quadratic_pi_tail_gl(theta_from, s_rest, theta_lo: float, theta_hi: float,
     return dW * (1.5 / fh - 0.5 * a * (W_f + W_h) / (fh * fh))
 
 
+def quadratic_transfers(theta_hat, efforts, s_rest, theta_lo: float,
+                        theta_hi: float, var0: float):
+    """(pi, K, S) under quadratic cost for reports theta_hat at designated
+    efforts, with s_rest each agent's rivals' summed inverse virtual costs:
+    pi = (theta q^2 + rent tail)/2, K = (1/var0 + q)^2 theta q and
+    S = (1/var0 + q) theta q.  Vectorized over broadcastable arrays."""
+    prec = 1.0 / var0
+    tail = quadratic_pi_tail_gl(theta_hat, s_rest, theta_lo, theta_hi, var0)
+    pi = 0.5 * (theta_hat * efforts ** 2 + tail)
+    return (pi, (efforts + prec) ** 2 * theta_hat * efforts,
+            (efforts + prec) * theta_hat * efforts)
+
+
 def quadratic_components_batch(theta_hat: np.ndarray, theta_lo: float,
                                theta_hi: float, var0: float
                                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(pi, K, S, efforts) for every agent, vectorized over leading dims of a
     (..., N) report array.  Fast path used by the simulation engine."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    inv_gamma = 1.0 / _virtual_costs(theta_hat, theta_lo)
-    s_total = inv_gamma.sum(axis=-1, keepdims=True)
-    a = 1.0 / var0
-    W = cubic_root(a, s_total)                        # (..., 1)
-    efforts = inv_gamma / (W * W)
-    tail = quadratic_pi_tail_gl(theta_hat, s_total - inv_gamma,
-                                theta_lo, theta_hi, var0)
-    pi = 0.5 * (theta_hat * efforts ** 2 + tail)
-    K, S = _quadratic_KS(theta_hat, efforts, var0)
-    return pi, K, S, efforts
+    efforts, inv_gamma, s_total = _quadratic_schedule(theta_hat, theta_lo,
+                                                      var0)
+    return (*quadratic_transfers(theta_hat, efforts, s_total - inv_gamma,
+                                 theta_lo, theta_hi, var0), efforts)
 
 
 def payment_rule_quadratic(theta_hat, theta_lo: float, theta_hi: float,
                            var0: float) -> PaymentRule:
-    """Transfers under quadratic cost; every agent is recruited and paid."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    efforts = effort_quadratic(theta_hat, theta_lo, var0)
-    K, S = _quadratic_KS(theta_hat, efforts, var0)
-    pi = np.array([quadratic_pi_quad(i, theta_hat, theta_lo, theta_hi, var0)
-                   for i in range(theta_hat.size)])
-    return PaymentRule(pi=pi, K=K, S=S, efforts=efforts)
+    """Transfers under quadratic cost, one row of quadratic_components_batch;
+    every agent is recruited and paid."""
+    return PaymentRule(*quadratic_components_batch(theta_hat, theta_lo,
+                                                   theta_hi, var0))
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +608,15 @@ def payment_rule_general(model: CostModel, efforts: Callable,
     posterior risk hA; pi covers the cost at the designated effort plus the
     information rent, integrating the type-derivative of the total cost along
     the rule in the agent's own report z, the rivals' reports held fixed.
+    Where the rule leaves some agent idle, the rival reports are breakpoints:
+    effort can drop to 0 there (linear cost), and quad misses such drops.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     prior = GaussianPrior(0.0, var0)
     q = efforts(theta_hat)
     pi, K, S = (np.zeros(theta_hat.size) for _ in range(3))
     reports = theta_hat.copy()
+    hi = type_dist.theta_hi
     for i, Q in enumerate(q):
         if Q <= 0.0:
             continue   # not recruited: no transfer at all
@@ -626,10 +629,11 @@ def payment_rule_general(model: CostModel, efforts: Callable,
             reports[i] = z
             return efforts(reports)[i]
 
+        jumps = theta_hat[(theta_hat > theta_hat[i]) & (theta_hat < hi)]
         rent, _ = integrate.quad(
             lambda z: fd_total_dtheta(model, effort_i(z), z),
-            float(theta_hat[i]), type_dist.theta_hi,
-            epsabs=1e-10, epsrel=1e-10, limit=60)
+            float(theta_hat[i]), hi, epsabs=1e-10, epsrel=1e-10, limit=60,
+            points=jumps if jumps.size and np.any(q <= 0.0) else None)
         reports[i] = theta_hat[i]
         pi[i] = float(model.total(Q, theta_hat[i])) + rent
     return PaymentRule(pi=pi, K=K, S=S, efforts=q)

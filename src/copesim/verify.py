@@ -78,6 +78,12 @@ def suite_cubic(seed: int = 0, n_instances: int = 10_000) -> List[Check]:
 
 # -- closed forms --------------------------------------------------------------
 
+def _rel_dev(got, want) -> float:
+    """Largest |got - want|, relative to max(1, largest |want|)."""
+    return float(np.max(np.abs(got - want))
+                 / max(1.0, float(np.max(np.abs(want)))))
+
+
 def suite_closed_forms(seed: int = 0, n_vectors: int = 50) -> List[Check]:
     checks: List[Check] = []
     gen = rng.generator(seed, 0, 7002)
@@ -88,35 +94,41 @@ def suite_closed_forms(seed: int = 0, n_vectors: int = 50) -> List[Check]:
              linear_cost()),
             (QUADRATIC, mechanism.effort_quadratic,
              mechanism.payment_rule_quadratic, quadratic_cost())):
-        worst_q = worst_ks = 0.0
-        detail_q = detail_ks = ""
+        # (worst deviation, where) per row: q, K/S, general pi, quadrature pi
+        worst = {row: (0.0, "") for row in ("q", "ks", "pi", "quad")}
         for v in range(n_vectors):
             n = int(gen.integers(1, 6))
             theta = np.sort(gen.uniform(0.05, 1.0, n))
-            q_closed = closed_effort(theta, 0.0, var0)
-            q_gen = mechanism.effort_general(model, dist, var0, theta)
-            dev = float(np.max(np.abs(q_gen - q_closed))
-                        / max(1.0, float(np.max(np.abs(q_closed)))))
-            if dev > worst_q:
-                worst_q, detail_q = dev, f"vector {v}, N={n}"
             rule_c = closed_rule(theta, 0.0, 1.0, var0)
             rule_g = mechanism.payment_rule_general(
                 model, partial(closed_effort, theta_lo=0.0, var0=var0), dist,
                 theta, var0)
-            for comp, c_arr, g_arr in (("K", rule_c.K, rule_g.K),
-                                       ("S", rule_c.S, rule_g.S)):
-                d = float(np.max(np.abs(g_arr - c_arr))
-                          / max(1.0, float(np.max(np.abs(c_arr)))))
-                if d > worst_ks:
-                    worst_ks, detail_ks = d, f"{comp}, vector {v}, N={n}"
-        checks.append(Check(
-            name=f"general optimizer vs {kind} schedule, {n_vectors} vectors",
-            passed=worst_q < 1e-6, measured=worst_q, bound=1e-6,
-            detail=detail_q))
-        checks.append(Check(
-            name=f"general K/S vs {kind} closed form",
-            passed=worst_ks < 1e-8, measured=worst_ks, bound=1e-8,
-            detail=detail_ks))
+            # pi by adaptive quadrature; the sorted reports' first one wins
+            # under linear cost
+            pi_quad = np.array(
+                [mechanism.linear_pi_quad(theta[0], theta[1:], 0.0, 1.0, var0)]
+                + [0.0] * (n - 1) if kind == LINEAR else
+                [mechanism.quadratic_pi_quad(i, theta, 0.0, 1.0, var0)
+                 for i in range(n)])
+            for row, comp, dev in (
+                    ("q", "q", _rel_dev(mechanism.effort_general(
+                        model, dist, var0, theta), rule_c.efforts)),
+                    ("ks", "K", _rel_dev(rule_g.K, rule_c.K)),
+                    ("ks", "S", _rel_dev(rule_g.S, rule_c.S)),
+                    ("pi", "pi", _rel_dev(rule_g.pi, rule_c.pi)),
+                    ("quad", "pi", _rel_dev(pi_quad, rule_c.pi))):
+                if dev > worst[row][0]:
+                    worst[row] = (dev, f"{comp}, vector {v}, N={n}")
+        for row, name, bound in (
+                ("q", f"general optimizer vs {kind} schedule, {n_vectors} "
+                 "vectors", 1e-6),
+                ("ks", f"general K/S vs {kind} closed form", 1e-8),
+                ("pi", f"general pi vs {kind} closed form", 1e-6),
+                ("quad", f"{kind} closed-form pi vs adaptive quadrature",
+                 1e-9)):
+            dev, detail = worst[row]
+            checks.append(Check(name=name, passed=dev < bound, measured=dev,
+                                bound=bound, detail=detail))
     return checks
 
 

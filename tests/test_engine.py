@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from copesim import engine
+from copesim import agents, engine
 from copesim.costs import (LINEAR, QUADRATIC, cost, general_cost, linear_cost,
                            quadratic_cost)
 from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
@@ -150,6 +150,20 @@ def test_general_trial_recruits_one_agent_on_a_linear_tie(make_scenario):
     assert np.allclose(gen.payments, lin.payments, rtol=0.0, atol=1e-8)
 
 
+def test_general_trial_pays_the_linear_rent_past_a_close_rival(make_scenario):
+    # the winner's rent integrand drops to 0 where its report crosses the
+    # runner-up's (0.0211), a drop quad sees only as a breakpoint
+    scen = make_scenario(LINEAR, 5)
+    settings = EngineSettings(fixed_types=(
+        0.020449594899177304, 0.02111864755550094, 0.189823649630528,
+        0.4927207742599688, 0.9551254718368857))
+    gen = run_trial(scen, COPE_GENERAL, TRUTHFUL, seed=0, trial_index=0,
+                    settings=settings)
+    lin = run_trial(scen, COPE_LINEAR, TRUTHFUL, seed=0, trial_index=0,
+                    settings=settings)
+    assert np.allclose(gen.payments, lin.payments, rtol=0.0, atol=1e-8)
+
+
 def test_best_response_mode_stays_near_truth(make_scenario):
     settings = EngineSettings(br_grid=21, br_mc=500)
     for kind, mech in ((LINEAR, COPE_LINEAR), (QUADRATIC, COPE_QUADRATIC)):
@@ -248,8 +262,24 @@ def test_workers_parallelize_custom_type_distribution():
     dist = CostTypeDistribution.custom(0.0, 1.0, cdf=_power_cdf,
                                        pdf=_power_pdf)
     _assert_same_results((GaussianPrior(0.0, 1.0), dist, linear_cost(),
-                          [2, 3], [COPE_LINEAR, CENTRALIZED]),
+                          [2, 3], [CENTRALIZED, homogeneous_spec(0.5)]),
                          n_trials=200, master_seed=4)
+
+
+def test_closed_form_mechanisms_reject_non_uniform_types():
+    # cope-linear and cope-quadratic pay for the uniform virtual cost
+    # 2 theta - theta_lo; under F(t) = t^2 it is 1.5 theta
+    dist = CostTypeDistribution.custom(0.0, 1.0, cdf=_power_cdf,
+                                       pdf=_power_pdf)
+    for model, mech in ((linear_cost(), COPE_LINEAR),
+                        (quadratic_cost(), COPE_QUADRATIC)):
+        scen = Scenario(prior=GaussianPrior(0.0, 1.0), type_dist=dist,
+                        n_agents=2, cost_model=model)
+        with pytest.raises(ValueError, match="uniform types"):
+            run_batch(scen, mech, seed=0, n_trials=1)
+        with pytest.raises(ValueError, match="uniform types"):
+            agents.interim_payoff(0.3, 0.3, "designated", "cope", scen,
+                                  n_mc=10)
 
 
 def test_workers_parallelize_general_cost():

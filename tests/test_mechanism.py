@@ -82,19 +82,9 @@ def test_cubic_root_unit_cases():
     assert float(mechanism.cubic_root(1.0, 0.0)) == pytest.approx(1.0)
 
 
-def test_solve_W_single_report_flat_prior():
-    assert mechanism.solve_W([0.5], 0.0, math.inf) == pytest.approx(1.0)
-
-
-def test_solve_W_two_reports_flat_prior():
-    # W^3 = 2
-    W = mechanism.solve_W([0.5, 0.5], 0.0, math.inf)
-    assert W == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-
-
-def test_solve_W_rejects_nonpositive_virtual_cost():
+def test_effort_quadratic_rejects_nonpositive_virtual_cost():
     with pytest.raises(ValueError):
-        mechanism.solve_W([0.1], 0.3, 1.0)
+        mechanism.effort_quadratic([0.1], 0.3, 1.0)
 
 
 @given(a=st.floats(0, 10), b=st.floats(1e-6, 1e3))
@@ -159,7 +149,8 @@ def test_linear_pi_closed_matches_quadrature():
         rest = theta[1:]
         via_quad = mechanism.linear_pi_quad(theta[0], rest, 0.0, 1.0, var0)
         upper = min(1.0, rest.min()) if rest.size else 1.0
-        via_closed = float(mechanism.linear_pi_closed(theta[0], upper, 0.0, var0))
+        via_closed = float(mechanism.linear_winner_components(
+            theta[0], upper, 0.0, var0)[0])
         assert via_quad == pytest.approx(via_closed, abs=1e-9)
 
 
@@ -194,7 +185,7 @@ def test_clamp_point_and_tail_integral():
 
 def test_realized_payment_identity(make_scenario):
     # the engine pays pi - K (x - report)^2 + S with the components of the
-    # per-vector payment rule (whose pi comes by adaptive quadrature)
+    # per-vector payment rule
     for kind, mech, rule_for in (
             (LINEAR, engine.COPE_LINEAR, mechanism.payment_rule_linear),
             (QUADRATIC, engine.COPE_QUADRATIC,
@@ -261,7 +252,9 @@ def test_quadratic_batch_matches_per_agent_rule():
         assert np.allclose(q[r], rule.efforts, rtol=1e-12)
         assert np.allclose(K[r], rule.K, rtol=1e-12)
         assert np.allclose(S[r], rule.S, rtol=1e-12)
-        assert np.allclose(pi[r], rule.pi, atol=1e-9)
+        via_quad = [mechanism.quadratic_pi_quad(i, theta[r], 0.0, 1.0, 1.0)
+                    for i in range(3)]
+        assert np.allclose(pi[r], via_quad, rtol=0.0, atol=1e-9)
 
 
 def _tail_grid_cases():
