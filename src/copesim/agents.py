@@ -12,7 +12,7 @@ candidate reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -89,66 +89,6 @@ def _rival_types(scenario: Scenario, n_mc: int, seed: int) -> np.ndarray:
     return np.clip(th, dist.theta_lo + TYPE_CLAMP, dist.theta_hi)
 
 
-def _linear_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
-                         scenario: Scenario, effort_policy) -> np.ndarray:
-    """(n_candidates, n_mc) payoff matrix for deviation reports under the
-    linear-cost mechanism; theta_hat may be scalar or vector."""
-    dist = scenario.type_dist
-    prec = scenario.prior.precision
-    th = np.atleast_1d(np.asarray(theta_hat, dtype=float))[:, None]   # (C,1)
-    m = rivals.min(axis=1, initial=np.inf)                             # (D,)
-    pi, K, S, Q = mechanism.linear_winner_components(
-        th, np.minimum(dist.theta_hi, m), dist.theta_lo, scenario.prior.var0)
-    if effort_policy == "optimal":
-        q = optimal_effort_linear(K, theta, prec)
-    elif effort_policy == "designated":
-        q = Q
-    else:
-        q = float(effort_policy) + np.zeros_like(th)
-    inner = pi - K / (prec + q) + S - theta * q
-    # zero rule: a winner whose designated effort clamps to 0 is not paid
-    return np.where((th < m) & (Q > 0.0), inner, 0.0)
-
-
-def _quadratic_payoff_draws(theta: float, theta_hat, rivals: np.ndarray,
-                            scenario: Scenario, effort_policy) -> np.ndarray:
-    dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
-    var0 = scenario.prior.var0
-    prec = scenario.prior.precision
-    th_c = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    s_rest = mechanism.inverse_cost_sum(rivals, lo)                    # (D,)
-    out = np.empty((th_c.size, s_rest.size))
-    for i, th in enumerate(th_c):
-        Q = mechanism.quadratic_effort_at(th, s_rest, lo, var0)        # (D,)
-        pi, K, S = mechanism.quadratic_transfers(th, Q, s_rest, lo, hi, var0)
-        if effort_policy == "optimal":
-            q = reward_effort_quadratic(K, theta, prec)
-        elif effort_policy == "designated":
-            q = Q
-        else:
-            q = np.full_like(Q, float(effort_policy))
-        out[i] = pi - K / (prec + q) + S - 0.5 * theta * q ** 2
-    return out
-
-
-def _homogeneous_payoff(theta: float, scenario: Scenario, contract) -> float:
-    var0 = scenario.prior.var0
-    prec = scenario.prior.precision
-    kind = scenario.cost_kind
-    beta = contract.beta
-    if kind == LINEAR:
-        q = float(optimal_effort_linear(beta, theta, prec))
-        c = theta * q
-    elif kind == QUADRATIC:
-        q = float(reward_effort_quadratic(beta, theta, prec))
-        c = 0.5 * theta * q ** 2
-    else:
-        raise ValueError(f"homogeneous benchmark has no {kind} cost variant")
-    payoff = contract.alpha - beta / (prec + q) - c
-    return payoff if payoff >= 0.0 else 0.0   # negative -> opt out, payoff 0
-
-
 def _closed_form_kind(scenario: Scenario) -> str:
     """Cost kind of a scenario with closed-form COPE transfers: linear or
     quadratic cost with uniform types, whose virtual cost 2*theta - theta_lo
@@ -162,32 +102,65 @@ def _closed_form_kind(scenario: Scenario) -> str:
     return kind
 
 
-def _payoff_matrix(theta: float, candidates, effort_policy, mech: str,
-                   scenario: Scenario, rivals: np.ndarray,
-                   contract=None) -> np.ndarray:
-    if mech == "homogeneous":
-        if contract is None:
-            raise ValueError("homogeneous oracle needs the contract")
-        value = _homogeneous_payoff(theta, scenario, contract)
-        n_c = np.atleast_1d(np.asarray(candidates, dtype=float)).size
-        return np.full((n_c, rivals.shape[0]), value)
-    if mech != "cope":
-        raise ValueError(f"unknown mechanism {mech!r}")
-    draws = (_linear_payoff_draws if _closed_form_kind(scenario) == LINEAR
-             else _quadratic_payoff_draws)
-    return draws(theta, candidates, rivals, scenario, effort_policy)
+#: candidate x draw elements scored at once, which bounds the temporaries of
+#: the quadratic family's cubic roots
+_BLOCK = 1 << 17
+
+
+def _payoff_matrix(theta: float, candidates, effort_policy,
+                   scenario: Scenario, rivals: np.ndarray) -> np.ndarray:
+    """(n_candidates, n_mc) COPE payoffs of an agent of type theta reporting
+    each candidate against each rival draw.  effort_policy: "optimal" (the
+    agent's reply to the stake K), "designated" (the mechanism's Q), or a
+    fixed level."""
+    dist = scenario.type_dist
+    lo, hi = dist.theta_lo, dist.theta_hi
+    var0 = scenario.prior.var0
+    prec = scenario.prior.precision
+    if _closed_form_kind(scenario) == LINEAR:
+        m = rivals.min(axis=1, initial=np.inf)
+        reply = optimal_effort_linear
+
+        def components(th):
+            pi, K, S, Q = mechanism.linear_winner_components(
+                th, np.minimum(hi, m), lo, var0)
+            # only a winner is paid, and not if its effort clamps to 0
+            return pi, K, S, Q, (th < m) & (Q > 0.0)
+    else:
+        s_rest = mechanism.inverse_cost_sum(rivals, lo)
+        reply = reward_effort_quadratic
+
+        def components(th):
+            Q = mechanism.quadratic_effort_at(th, s_rest, lo, var0)
+            return (*mechanism.quadratic_transfers(th, Q, s_rest, lo, hi, var0),
+                    Q, True)
+    th_c = np.asarray(candidates, dtype=float)
+    out = np.empty((th_c.size, rivals.shape[0]))
+    rows = max(1, _BLOCK // max(rivals.shape[0], 1))
+    for start in range(0, th_c.size, rows):
+        pi, K, S, Q, paid = components(th_c[start:start + rows, None])
+        if effort_policy == "optimal":
+            q = reply(K, theta, prec)
+        elif effort_policy == "designated":
+            q = Q
+        else:
+            q = np.full_like(K, float(effort_policy))
+        out[start:start + rows] = np.where(paid, effort_payoff(
+            q, theta, K, S, pi, scenario.cost_model, prec), 0.0)
+    return out
 
 
 def interim_payoff(theta: float, theta_hat: float, effort_policy,
-                   mech: str, scenario: Scenario, n_mc: int = 10_000,
-                   seed: int = 0, contract=None) -> InterimPayoff:
-    """Expected payoff of an agent of type theta reporting theta_hat, all
-    rivals truthful; Monte-Carlo over rival types only (the inner expectation
-    is analytic).  effort_policy: "optimal", "designated", or a fixed level.
+                   scenario: Scenario, n_mc: int = 10_000,
+                   seed: int = 0) -> InterimPayoff:
+    """Expected COPE payoff of an agent of type theta reporting theta_hat,
+    all rivals truthful; Monte-Carlo over rival types only (the inner
+    expectation is analytic).  effort_policy: "optimal", "designated", or a
+    fixed level.
     """
     rivals = _rival_types(scenario, n_mc, seed)
-    draws = _payoff_matrix(theta, [theta_hat], effort_policy, mech,
-                           scenario, rivals, contract)[0]
+    draws = _payoff_matrix(theta, [theta_hat], effort_policy, scenario,
+                           rivals)[0]
     se = float(draws.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return InterimPayoff(value=float(draws.mean()), se=se, n_mc=n_mc)
 
@@ -202,24 +175,25 @@ class BestResponseType:
     paired_ses: np.ndarray    # SE of (best - candidate), common random numbers
 
 
-def best_response_type(theta: float, mech: str, scenario: Scenario,
-                       n_grid: int = 101, n_mc: int = 10_000, seed: int = 0,
-                       contract=None) -> BestResponseType:
-    """Grid-search maximizer of the interim payoff over deviation reports,
-    with one refinement decade around the coarse argmax.  The agent plays the
-    optimal effort for each candidate report."""
+def best_response_type(theta: float, scenario: Scenario, n_grid: int = 101,
+                       n_mc: int = 10_000, seed: int = 0) -> BestResponseType:
+    """Grid-search maximizer of the interim COPE payoff over deviation
+    reports, with one refinement decade around the coarse argmax.  The agent
+    plays the optimal effort for each candidate report."""
     dist = scenario.type_dist
     lo, hi = dist.theta_lo, dist.theta_hi
     rivals = _rival_types(scenario, n_mc, seed)
     coarse = np.linspace(lo, hi, n_grid)
     step = (hi - lo) / (n_grid - 1)
     draws = _payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
-                           "optimal", mech, scenario, rivals, contract)
+                           "optimal", scenario, rivals)
     t0 = coarse[int(np.argmax(draws.mean(axis=1)))]
     fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
-    grid = np.unique(np.concatenate([coarse, fine]))
-    draws = _payoff_matrix(theta, np.clip(grid, lo + TYPE_CLAMP, hi),
-                           "optimal", mech, scenario, rivals, contract)
+    # a fine candidate equal to a coarse one keeps the coarse row
+    grid, first = np.unique(np.concatenate([coarse, fine]), return_index=True)
+    draws = np.concatenate([draws, _payoff_matrix(
+        theta, np.clip(fine, lo + TYPE_CLAMP, hi), "optimal", scenario,
+        rivals)])[first]
     payoffs = draws.mean(axis=1)
     ses = draws.std(axis=1, ddof=1) / np.sqrt(n_mc)
     best = int(np.argmax(payoffs))

@@ -243,7 +243,7 @@ def _best_response(cell: _Cell, types, t0, designate):
     still settles on the efforts it designates."""
     scenario, settings = cell.scenario, cell.settings
     reported = np.array([[agents.best_response_type(
-        float(th), "cope", scenario, n_grid=settings.br_grid,
+        float(th), scenario, n_grid=settings.br_grid,
         n_mc=settings.br_mc).theta_star
         for th in row] for row in types])
     _, _, terms = designate(cell, reported, t0)
@@ -395,13 +395,13 @@ def run_trial(scenario: Scenario, mech: MechanismSpec, agent_mode: str,
 
 
 def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
-              n_trials: int, settings: EngineSettings = EngineSettings(),
-              trial_offset: int = 0) -> Dict[str, np.ndarray]:
+              n_trials: int, settings: EngineSettings = EngineSettings()
+              ) -> Dict[str, np.ndarray]:
     """Per-trial metric arrays for n_trials truthful trials (chunked
     internally; concatenated output)."""
     check_pairing(scenario, mech)
     parts = [metrics for metrics, _ in _chunks(
-        scenario, mech, seed, trial_offset, trial_offset + n_trials, settings)]
+        scenario, mech, seed, 0, n_trials, settings)]
     return {k: np.concatenate([p[k] for p in parts]) for k in METRICS}
 
 

@@ -37,31 +37,18 @@ class SolverError(RuntimeError):
 # effort rules: report vector -> designated efforts
 # ---------------------------------------------------------------------------
 
-def argmin_winner(theta_hat: np.ndarray, tie_break: str = "lowest-index",
-                  tie_uniform: Optional[float] = None) -> int:
-    """Index of the recruited agent under linear cost.  Ties go to the lowest
-    index unless tie_break = "seeded-random", which picks uniformly among the
-    tied entries using the provided uniform draw."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if theta_hat.size == 0:
-        raise ValueError("empty report vector")
-    if tie_break == "lowest-index" or tie_uniform is None:
-        return int(theta_hat.argmin())
-    ties = np.flatnonzero(theta_hat == theta_hat.min())
-    return int(ties[min(int(tie_uniform * ties.size), ties.size - 1)])
-
-
 def argmin_winner_batch(theta_hat: np.ndarray, tie_break: str = "lowest-index",
                         tie_uniforms: Optional[np.ndarray] = None) -> np.ndarray:
-    """argmin_winner for every row of a (T, N) report array; row t breaks a
-    tie with the uniform draw tie_uniforms[t]."""
+    """Recruited agent under linear cost, the lowest report, of every row of a
+    (T, N) report array; ties go to the lowest index, or with tie_break =
+    "seeded-random" to the tied entry that the uniform tie_uniforms[t] picks."""
     winner = np.argmin(theta_hat, axis=1)
     if tie_break == "lowest-index" or tie_uniforms is None:
         return winner
     lowest = theta_hat[np.arange(theta_hat.shape[0]), winner]
     for t in np.flatnonzero((theta_hat == lowest[:, None]).sum(axis=1) > 1):
-        winner[t] = argmin_winner(theta_hat[t], tie_break,
-                                  float(tie_uniforms[t]))
+        ties = np.flatnonzero(theta_hat[t] == lowest[t])
+        winner[t] = ties[min(int(tie_uniforms[t] * ties.size), ties.size - 1)]
     return winner
 
 
@@ -73,13 +60,11 @@ def _virtual_costs(theta_hat, theta_lo: float) -> np.ndarray:
     return gamma
 
 
-def effort_linear(theta_hat, theta_lo: float, var0: float,
-                  tie_break: str = "lowest-index",
-                  tie_uniform: Optional[float] = None) -> np.ndarray:
-    """Designated efforts under linear cost: the lowest bidder is asked for
-    linear_effort_at its report, everyone else for 0."""
+def effort_linear(theta_hat, theta_lo: float, var0: float) -> np.ndarray:
+    """Designated efforts under linear cost: the lowest bidder (lowest index
+    on ties) is asked for linear_effort_at its report, everyone else for 0."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    winner = argmin_winner(theta_hat, tie_break, tie_uniform)
+    winner = theta_hat.argmin()
     q = np.zeros(theta_hat.shape)
     # the winner holds the lowest report, so its virtual cost is the least
     if 2.0 * theta_hat[winner] - theta_lo <= 0:
@@ -258,14 +243,13 @@ def linear_components_batch(theta_hat: np.ndarray, winner: np.ndarray,
 
 
 def payment_rule_linear(theta_hat, theta_lo: float, theta_hi: float,
-                        var0: float, tie_break: str = "lowest-index",
-                        tie_uniform: Optional[float] = None) -> PaymentRule:
+                        var0: float) -> PaymentRule:
     """Transfers under linear cost, one row of linear_components_batch: only
-    the winner is paid, and the rule is identically zero if its designated
-    effort clamps to 0."""
+    the winner (the lowest index on ties) is paid, and the rule is
+    identically zero if its designated effort clamps to 0."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     _virtual_costs(theta_hat, theta_lo)       # every virtual cost positive
-    winner = argmin_winner(theta_hat, tie_break, tie_uniform)
+    winner = theta_hat.argmin()
     *terms, q = linear_components_batch(theta_hat[None], np.array([winner]),
                                         theta_lo, theta_hi, var0)
     pi, K, S = (np.where(np.arange(theta_hat.size) == winner, t, 0.0)
@@ -596,6 +580,22 @@ def general_objective_hessian(model: CostModel, type_dist: CostTypeDistribution,
     return H
 
 
+def _last_recruiting(effort_i: Callable, lo: float, hi: float) -> float:
+    """Largest own report in [lo, hi] at which effort_i, positive at lo and
+    nonincreasing, is still positive, bisected to adjacent floats.  An exit
+    within _TOL of lo, such as the sliver of rounding width that a tie at lo
+    leaves to effort_general, counts as lo."""
+    if effort_i(hi) > 0.0:
+        return hi
+    if lo + _TOL >= hi or effort_i(lo + _TOL) <= 0.0:
+        return lo
+    lo += _TOL
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if effort_i(mid) > 0.0 else (lo, mid)
+    return lo
+
+
 def payment_rule_general(model: CostModel, efforts: Callable,
                          type_dist: CostTypeDistribution, theta_hat,
                          var0: float) -> PaymentRule:
@@ -608,8 +608,11 @@ def payment_rule_general(model: CostModel, efforts: Callable,
     posterior risk hA; pi covers the cost at the designated effort plus the
     information rent, integrating the type-derivative of the total cost along
     the rule in the agent's own report z, the rivals' reports held fixed.
-    Where the rule leaves some agent idle, the rival reports are breakpoints:
-    effort can drop to 0 there (linear cost), and quad misses such drops.
+    Effort can drop to 0 as z rises (linear cost: at a rival's report or the
+    agent's own clamp point), and quad misses such drops, so the rent runs
+    only up to the last report that still recruits the agent, found by
+    bisection; where the rule leaves some agent idle, the rival reports
+    below it are breakpoints.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     prior = GaussianPrior(0.0, var0)
@@ -629,10 +632,11 @@ def payment_rule_general(model: CostModel, efforts: Callable,
             reports[i] = z
             return efforts(reports)[i]
 
-        jumps = theta_hat[(theta_hat > theta_hat[i]) & (theta_hat < hi)]
+        upper = _last_recruiting(effort_i, float(theta_hat[i]), hi)
+        jumps = theta_hat[(theta_hat > theta_hat[i]) & (theta_hat < upper)]
         rent, _ = integrate.quad(
             lambda z: fd_total_dtheta(model, effort_i(z), z),
-            float(theta_hat[i]), hi, epsabs=1e-10, epsrel=1e-10, limit=60,
+            float(theta_hat[i]), upper, epsabs=1e-10, epsrel=1e-10, limit=60,
             points=jumps if jumps.size and np.any(q <= 0.0) else None)
         reports[i] = theta_hat[i]
         pi[i] = float(model.total(Q, theta_hat[i])) + rent
@@ -651,8 +655,7 @@ def predict_batch(prior: GaussianPrior, reports: np.ndarray,
     Each active agent (designated effort > 0) reported its own posterior
     mean; weighting report n by (1/var0 + q_n) and adding (1 - #active)
     prior pseudo-observations recovers exactly the posterior mean that raw
-    observations would give.  No active agents (finite var0): the prior
-    mean.
+    observations would give.  No active agents: the prior mean.
     """
     active = efforts > 0
     prec = prior.precision
@@ -660,7 +663,8 @@ def predict_batch(prior: GaussianPrior, reports: np.ndarray,
     num = (1 - n_active) * prior.mu0 * prec + np.sum(
         np.where(active, (prec + efforts) * reports, 0.0), axis=-1)
     den = prec + np.sum(np.where(active, efforts, 0.0), axis=-1)
-    return num / den
+    # den is 0 only at var0 = inf with nobody active
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), prior.mu0)
 
 
 # ---------------------------------------------------------------------------

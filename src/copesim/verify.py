@@ -34,11 +34,10 @@ class Check:
     required: bool = True
 
 
-def _scenario(cost_kind: str, n_agents: int, var0: float = 1.0,
-              theta_lo: float = 0.0, theta_hi: float = 1.0) -> Scenario:
+def _scenario(cost_kind: str, n_agents: int) -> Scenario:
     model = linear_cost() if cost_kind == LINEAR else quadratic_cost()
-    return Scenario(prior=GaussianPrior(0.0, var0),
-                    type_dist=CostTypeDistribution.uniform(theta_lo, theta_hi),
+    return Scenario(prior=GaussianPrior(0.0, 1.0),
+                    type_dist=CostTypeDistribution.uniform(0.0, 1.0),
                     n_agents=n_agents, cost_model=model)
 
 
@@ -188,7 +187,7 @@ def suite_bic(cost_kind: str = LINEAR, seed: int = 0, n_instances: int = 20,
         n = int(gen.integers(1, 8))
         theta = float(gen.uniform(0.02, 0.98))
         scen = _scenario(cost_kind, n)
-        br = agents.best_response_type(theta, "cope", scen, n_grid=n_grid,
+        br = agents.best_response_type(theta, scen, n_grid=n_grid,
                                        n_mc=n_mc, seed=seed + inst)
         gap = float(np.min(np.abs(br.argmax_set - theta))) \
             if br.argmax_set.size else np.inf
@@ -219,10 +218,10 @@ def suite_bic(cost_kind: str = LINEAR, seed: int = 0, n_instances: int = 20,
 
 # -- bir -----------------------------------------------------------------------
 
-def _zscore(diff: float, se: float, atol: float = 1e-12) -> float:
-    """|diff| in SE units with an absolute floor, so deterministic cases
-    (SE zero or a few ulps) pass iff the difference is rounding-level."""
-    return abs(diff) / max(se, atol)
+def _zscore(diff: float, se: float) -> float:
+    """|diff| in SE units with an absolute floor of 1e-12, so deterministic
+    cases (SE zero or a few ulps) pass iff the difference is rounding-level."""
+    return abs(diff) / max(se, 1e-12)
 
 
 def suite_bir(cost_kind: str = LINEAR, seed: int = 0, n_instances: int = 20,
@@ -236,7 +235,7 @@ def suite_bir(cost_kind: str = LINEAR, seed: int = 0, n_instances: int = 20,
         n = int(gen.integers(1, 8))
         theta = float(gen.uniform(0.02, 0.98))
         scen = _scenario(cost_kind, n)
-        pay = agents.interim_payoff(theta, theta, "designated", "cope", scen,
+        pay = agents.interim_payoff(theta, theta, "designated", scen,
                                     n_mc=n_mc, seed=seed + inst)
         if pay.se > 0:
             margin = pay.value / pay.se
@@ -262,7 +261,7 @@ def suite_bir(cost_kind: str = LINEAR, seed: int = 0, n_instances: int = 20,
         detail=detail_rent))
     for n in (1, 3, 7):
         scen = _scenario(cost_kind, n)
-        top = agents.interim_payoff(1.0, 1.0, "designated", "cope", scen,
+        top = agents.interim_payoff(1.0, 1.0, "designated", scen,
                                     n_mc=n_mc, seed=seed)
         z = _zscore(top.value, top.se)
         checks.append(Check(

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from copesim import agents, benchmarks, mechanism
+from copesim import agents, mechanism
 from copesim.costs import LINEAR, QUADRATIC
 from copesim.model import GaussianPrior
 
@@ -103,7 +103,7 @@ def test_interim_payoff_zero_at_top_type(make_scenario, kind):
     # the top type earns no rent: loses every linear auction, and the
     # quadratic transfers net out exactly at the designated effort
     scen = make_scenario(kind, 3)
-    p = agents.interim_payoff(1.0, 1.0, "optimal", "cope", scen,
+    p = agents.interim_payoff(1.0, 1.0, "optimal", scen,
                               n_mc=4000, seed=5)
     assert abs(p.value) <= 1e-12
 
@@ -113,7 +113,7 @@ def test_interim_payoff_matches_information_rent(make_scenario, kind, theta):
     # envelope identity holds per rival draw, so with a shared rival stream
     # the two estimates agree to roundoff, not just to 3 SE
     scen = make_scenario(kind, 3)
-    p = agents.interim_payoff(theta, theta, "optimal", "cope", scen,
+    p = agents.interim_payoff(theta, theta, "optimal", scen,
                               n_mc=4000, seed=11)
     r = agents.information_rent(theta, scen, n_mc=4000, seed=11)
     assert p.value >= -3.0 * p.se
@@ -122,11 +122,11 @@ def test_interim_payoff_matches_information_rent(make_scenario, kind, theta):
 
 def test_optimal_effort_dominates_fixed_and_matches_designated(make_scenario):
     scen = make_scenario(LINEAR, 3)
-    opt = agents.interim_payoff(0.3, 0.3, "optimal", "cope", scen,
+    opt = agents.interim_payoff(0.3, 0.3, "optimal", scen,
                                 n_mc=2000, seed=9)
-    desig = agents.interim_payoff(0.3, 0.3, "designated", "cope", scen,
+    desig = agents.interim_payoff(0.3, 0.3, "designated", scen,
                                   n_mc=2000, seed=9)
-    fixed = agents.interim_payoff(0.3, 0.3, 0.0, "cope", scen,
+    fixed = agents.interim_payoff(0.3, 0.3, 0.0, scen,
                                   n_mc=2000, seed=9)
     # at a truthful report the reward weight makes the designated effort the
     # agent's own optimum, and any fixed effort can only do worse
@@ -136,7 +136,7 @@ def test_optimal_effort_dominates_fixed_and_matches_designated(make_scenario):
 
 def test_truth_is_best_response_linear(make_scenario):
     scen = make_scenario(LINEAR, 3)
-    br = agents.best_response_type(0.3, "cope", scen, n_grid=101,
+    br = agents.best_response_type(0.3, scen, n_grid=101,
                                    n_mc=3000, seed=2)
     assert np.min(np.abs(br.argmax_set - 0.3)) <= 1e-9
     assert abs(br.theta_star - 0.3) <= 0.05
@@ -144,19 +144,24 @@ def test_truth_is_best_response_linear(make_scenario):
 
 def test_truth_is_best_response_quadratic(make_scenario):
     scen = make_scenario(QUADRATIC, 3)
-    br = agents.best_response_type(0.7, "cope", scen, n_grid=101,
+    br = agents.best_response_type(0.7, scen, n_grid=101,
                                    n_mc=3000, seed=2)
     assert np.min(np.abs(br.argmax_set - 0.7)) <= 1e-9
     assert abs(br.theta_star - 0.7) <= 0.05
 
 
-def test_homogeneous_report_is_payoff_irrelevant(make_scenario):
-    # the posted contract ignores reports entirely, so every candidate ties
-    scen = make_scenario(QUADRATIC, 3)
-    contract = benchmarks.homogeneous_contract(0.5, 3, QUADRATIC, 1.0)
-    br = agents.best_response_type(0.4, "homogeneous", scen, n_grid=21,
-                                   n_mc=500, seed=3, contract=contract)
-    assert br.argmax_set.size == br.grid.size
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
+    # 2^15 draws make blocks of 4 candidates; each row must be bitwise what
+    # the candidate scores alone
+    scen = make_scenario(kind, 3)
+    rivals = agents._rival_types(scen, 1 << 15, 4)
+    candidates = np.linspace(0.05, 0.95, 9)
+    for policy in ("optimal", "designated", 0.5):
+        together = agents._payoff_matrix(0.4, candidates, policy, scen, rivals)
+        for row, th in zip(together, candidates):
+            alone = agents._payoff_matrix(0.4, [th], policy, scen, rivals)
+            assert np.array_equal(row, alone[0])
 
 
 def test_best_response_effort_matches_designated_levels(make_scenario):

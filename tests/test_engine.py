@@ -278,8 +278,7 @@ def test_closed_form_mechanisms_reject_non_uniform_types():
         with pytest.raises(ValueError, match="uniform types"):
             run_batch(scen, mech, seed=0, n_trials=1)
         with pytest.raises(ValueError, match="uniform types"):
-            agents.interim_payoff(0.3, 0.3, "designated", "cope", scen,
-                                  n_mc=10)
+            agents.interim_payoff(0.3, 0.3, "designated", scen, n_mc=10)
 
 
 def test_workers_parallelize_general_cost():

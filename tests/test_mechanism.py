@@ -65,13 +65,12 @@ def test_linear_effort_matches_reduced_objective_search():
 
 
 def test_argmin_winner_tie_breaking():
-    assert mechanism.argmin_winner(np.array([0.5, 0.5])) == 0
-    assert mechanism.argmin_winner(np.array([0.5, 0.5]), "seeded-random",
-                                   tie_uniform=0.9) == 1
-    assert mechanism.argmin_winner(np.array([0.5, 0.5]), "seeded-random",
-                                   tie_uniform=0.1) == 0
+    reports = np.array([[0.5, 0.5], [0.5, 0.5], [0.4, 0.5]])
+    assert list(mechanism.argmin_winner_batch(reports)) == [0, 0, 0]
+    assert list(mechanism.argmin_winner_batch(
+        reports, "seeded-random", np.array([0.9, 0.1, 0.9]))) == [1, 0, 0]
     with pytest.raises(ValueError):
-        mechanism.argmin_winner(np.array([]))
+        mechanism.effort_linear([], 0.0, 1.0)
 
 
 # -- aggregate-precision cubic ------------------------------------------------
@@ -512,6 +511,19 @@ def test_general_payment_recruits_one_agent_on_a_tie():
     assert np.allclose(rule.pi, want.pi, rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("theta", [
+    [0.94847787, 0.03104027, 0.6220928, 0.30476851, 0.40418247],
+    [0.03104027]])
+def test_general_payment_pays_the_rent_below_the_clamp_point(theta):
+    # the winner 0.03104 sits just below its clamp point var0^2/2 = 0.03125,
+    # so its rent integrand is nonzero only on a sliver above its report
+    got = mechanism.payment_rule_general(linear_cost(), linear_rule(0.25),
+                                         U01, theta, 0.25)
+    want = mechanism.payment_rule_linear(theta, 0.0, 1.0, 0.25)
+    assert want.pi.max() == pytest.approx(4.2016e-4, rel=1e-4)
+    assert np.allclose(got.pi, want.pi, rtol=0.0, atol=1e-12)
+
+
 # -- predictor ----------------------------------------------------------------
 
 def test_predict_unshrinks_single_report():
@@ -526,6 +538,10 @@ def test_predict_prior_fixed_point_and_fallback():
     assert mechanism.predict_batch(prior, np.array([0.3, 0.3]),
                                    np.array([1.0, 2.0])) == pytest.approx(0.3)
     assert mechanism.predict_batch(prior, np.array([99.0]),
+                                   np.array([0.0])) == 0.3
+    # a flat prior with nobody active still falls back to the prior mean
+    flat = GaussianPrior(0.3, math.inf)
+    assert mechanism.predict_batch(flat, np.array([0.5]),
                                    np.array([0.0])) == 0.3
 
 
