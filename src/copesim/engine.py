@@ -7,8 +7,9 @@ trial.  Every mechanism runs this one pipeline and supplies only its
 designate and settle steps.  Trials are simulated in vectorized chunks;
 every random quantity is read positionally from counter-based streams keyed
 by (master seed, N, purpose), so trial t is the same no matter how work is
-chunked or parallelized, and the same trial index shares its world draw
-across mechanisms (common random numbers).
+chunked or parallelized.  Each chunk of one N is drawn once and every
+mechanism at that N runs on that draw, so the mechanisms share their world
+draws trial by trial (common random numbers).
 """
 
 from __future__ import annotations
@@ -166,10 +167,9 @@ def _observe(x: np.ndarray, efforts: np.ndarray, noise: np.ndarray,
     safe_q = np.where(active, efforts, 1.0)
     obs = np.where(active, x[..., None] + noise / np.sqrt(safe_q),
                    NO_OBSERVATION)
-    prec = prior.precision
     # idle agents' NaN observations are replaced by the prior mean
-    reports = np.where(active, (prior.mu0 * prec + obs * efforts)
-                       / (prec + efforts), prior.mu0)
+    reports = np.where(active, agents.truthful_report_obs(obs, efforts, prior),
+                       prior.mu0)
     return obs, reports
 
 
@@ -179,7 +179,7 @@ def _finish_metrics(scenario: Scenario, x, types, efforts, prediction,
     err = (x - prediction) ** 2
     total_pay = payments.sum(axis=1)
     total_cost = cost(scenario.cost_model, efforts, types).sum(axis=1)
-    risk = 1.0 / (prior.precision + efforts.sum(axis=1))
+    risk = principal_bayes_risk(prior, efforts)
     return {
         "principal_payoff": -err - total_pay,
         "network_profit": -err - total_cost,
@@ -340,30 +340,42 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
     return None
 
 
-def _chunks(scenario: Scenario, mech: MechanismSpec, seed: int, t_lo: int,
-            t_hi: int, settings: EngineSettings, best_response: bool = False
-            ) -> Iterator[Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]]:
-    """Run trials [t_lo, t_hi) in chunks through the one pipeline: draw,
-    designate, observe, settle, score.  Yields each chunk's (metrics,
-    record)."""
-    cell = _Cell(scenario, mech, seed, settings,
-                 _cell_state(scenario, mech, settings))
-    designate, settle = _STEPS[mech.kind]
+def _run_mechanism(cell: _Cell, draws, t0: int, best_response: bool):
+    """One mechanism on one chunk's draws: designate, observe, settle, score.
+    Returns (metrics, record); every other (T, N) array dies on return."""
+    scenario = cell.scenario
+    x, types, noise = draws
+    designate, settle = _STEPS[cell.mech.kind]
+    reported, efforts, terms = (
+        _best_response(cell, types, t0, designate) if best_response
+        else designate(cell, types, t0))
+    obs, est = _observe(x, efforts, noise, scenario.prior)
+    prediction, payments, expected_sq, reports = settle(
+        cell, x, obs, est, efforts, terms)
+    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
+                              payments, expected_sq)
+    return metrics, dict(x=x, types=types, reported_types=reported,
+                         efforts=efforts, observations=obs, reports=reports,
+                         prediction=prediction, payments=payments)
+
+
+def _chunks(scenario: Scenario, mechs: Sequence[MechanismSpec], seed: int,
+            t_lo: int, t_hi: int, settings: EngineSettings,
+            best_response: bool = False
+            ) -> Iterator[Tuple[int, Dict[str, np.ndarray],
+                                Dict[str, np.ndarray]]]:
+    """Run trials [t_lo, t_hi) in chunks through the one pipeline.  Each
+    chunk is drawn once and every mechanism of mechs runs on that draw, in
+    order.  Yields (index into mechs, metrics, record) per chunk and
+    mechanism; a consumer that drops the record before resuming keeps only
+    one mechanism's (T, N) arrays alive at a time."""
+    cells = [_Cell(scenario, mech, seed, settings,
+                   _cell_state(scenario, mech, settings)) for mech in mechs]
     for t0 in range(t_lo, t_hi, settings.chunk_size):
         t1 = min(t0 + settings.chunk_size, t_hi)
-        x, types, noise = _draw_chunk(scenario, seed, t0, t1, settings)
-        reported, efforts, terms = (
-            _best_response(cell, types, t0, designate) if best_response
-            else designate(cell, types, t0))
-        obs, est = _observe(x, efforts, noise, scenario.prior)
-        prediction, payments, expected_sq, reports = settle(
-            cell, x, obs, est, efforts, terms)
-        metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                                  payments, expected_sq)
-        yield metrics, dict(x=x, types=types, reported_types=reported,
-                            efforts=efforts, observations=obs,
-                            reports=reports, prediction=prediction,
-                            payments=payments)
+        draws = _draw_chunk(scenario, seed, t0, t1, settings)
+        for i, cell in enumerate(cells):
+            yield (i, *_run_mechanism(cell, draws, t0, best_response))
 
 
 # -- public entry points -------------------------------------------------------
@@ -385,8 +397,8 @@ def run_trial(scenario: Scenario, mech: MechanismSpec, agent_mode: str,
     if best_response and mech.kind == "cope-general":
         raise ValueError("best-response mode needs the closed-form payment "
                          "path; cope-general is not supported")
-    metrics, rec = next(_chunks(scenario, mech, seed, trial_index,
-                                trial_index + 1, settings, best_response))
+    _, metrics, rec = next(_chunks(scenario, [mech], seed, trial_index,
+                                   trial_index + 1, settings, best_response))
     fields = {k: v[0] for k, v in rec.items()}
     fields.update({k: float(fields[k]) for k in ("x", "prediction")})
     fields.update({k: float(metrics[k][0]) for k in METRICS
@@ -400,8 +412,8 @@ def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
     """Per-trial metric arrays for n_trials truthful trials (chunked
     internally; concatenated output)."""
     check_pairing(scenario, mech)
-    parts = [metrics for metrics, _ in _chunks(
-        scenario, mech, seed, 0, n_trials, settings)]
+    parts = [metrics for _, metrics, _ in _chunks(
+        scenario, [mech], seed, 0, n_trials, settings)]
     return {k: np.concatenate([p[k] for p in parts]) for k in METRICS}
 
 
@@ -436,17 +448,23 @@ class _Moments:
                           maximum=self.mx)
 
 
-def _run_cell(scenario: Scenario, mech: MechanismSpec, seed: int,
-              n_trials: int, settings: EngineSettings) -> ExperimentResult:
-    """One sweep cell, its chunks reduced to metric moments."""
-    acc = {k: _Moments() for k in METRICS}
-    for metrics, _ in _chunks(scenario, mech, seed, 0, n_trials, settings):
+def _run_cells(scenario: Scenario, mechs: Sequence[MechanismSpec],
+               seed: int, n_trials: int, settings: EngineSettings
+               ) -> List[ExperimentResult]:
+    """The sweep cells of one N, in mechs order: each chunk is drawn once and
+    every mechanism's chunks are reduced to its own metric moments."""
+    acc = [{k: _Moments() for k in METRICS} for _ in mechs]
+    for i, metrics, rec in _chunks(scenario, mechs, seed, 0, n_trials,
+                                   settings):
         for k in METRICS:
-            acc[k].update(metrics[k])
-    return ExperimentResult(
+            acc[i][k].update(metrics[k])
+        # free this mechanism's (T, N) arrays before the next one designates
+        del metrics, rec
+    return [ExperimentResult(
         mechanism=mech.kind, cost=scenario.cost_kind,
         n_agents=scenario.n_agents, theta_dagger=mech.theta_dagger,
-        n_trials=n_trials, stats={k: acc[k].stat() for k in METRICS})
+        n_trials=n_trials, stats={k: a[k].stat() for k in METRICS})
+        for mech, a in zip(mechs, acc)]
 
 
 def default_workers() -> int:
@@ -469,18 +487,21 @@ def run_experiment(prior: GaussianPrior, type_dist: CostTypeDistribution,
                    master_seed: int, n_workers: Optional[int] = None,
                    settings: EngineSettings = EngineSettings(),
                    progress=None) -> List[ExperimentResult]:
-    """Full sweep: one cell per (N, mechanism), trial draws split from the
-    master seed per cell, identical trial indices share world draws across
-    mechanisms at the same N.  With more than one worker the cells run in
-    worker processes, so the scenario must pickle (ValueError otherwise);
-    results are deterministic regardless of worker count."""
+    """Full sweep: one cell per (N, mechanism), returned in that order.
+    Trial draws are split from the master seed per N; each chunk of one N is
+    drawn once and every mechanism runs on that draw, so identical trial
+    indices share world draws across mechanisms at the same N.  progress, if
+    given, is called as progress(done, total, result) once per cell.  With
+    more than one worker the Ns run in worker processes, so the scenario must
+    pickle (ValueError otherwise); results are deterministic regardless of
+    worker count."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     scenarios = {n: Scenario(prior=prior, type_dist=type_dist, n_agents=n,
                              cost_model=cost_model) for n in n_agents_list}
-    cells = [(scenarios[n], mech) for n in n_agents_list for mech in mechanisms]
-    for scenario, mech in cells:
-        check_pairing(scenario, mech)
+    for scenario in scenarios.values():
+        for mech in mechanisms:
+            check_pairing(scenario, mech)
     workers = default_workers() if n_workers is None else n_workers
     if workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {workers}")
@@ -492,14 +513,17 @@ def run_experiment(prior: GaussianPrior, type_dist: CostTypeDistribution,
                 f"{workers} workers need a scenario that pickles: build its "
                 "cost model and type distribution from module-level "
                 f"functions ({exc})") from None
-    parallel = workers > 1 and len(cells) > 1
+    total = len(n_agents_list) * len(mechanisms)
+    parallel = workers > 1 and len(n_agents_list) > 1
     results: List[ExperimentResult] = []
     with (ProcessPoolExecutor(max_workers=workers) if parallel
           else contextlib.nullcontext()) as pool:
-        for res in (pool.map if parallel else map)(
-                _run_cell, [s for s, _ in cells], [m for _, m in cells],
-                repeat(master_seed), repeat(n_trials), repeat(settings)):
-            results.append(res)
-            if progress:
-                progress(len(results), len(cells), res)
+        for cells in (pool.map if parallel else map)(
+                _run_cells, [scenarios[n] for n in n_agents_list],
+                repeat(mechanisms), repeat(master_seed), repeat(n_trials),
+                repeat(settings)):
+            for res in cells:
+                results.append(res)
+                if progress:
+                    progress(len(results), total, res)
     return results

@@ -213,6 +213,50 @@ def test_worker_count_does_not_change_results(make_scenario):
         assert a == b or (a.stats == b.stats and a.mechanism == b.mechanism)
 
 
+def _sweep_args(make_scenario):
+    scen = make_scenario(LINEAR, 2)
+    return (scen.prior, scen.type_dist, scen.cost_model, [2, 3],
+            [COPE_LINEAR, CENTRALIZED, homogeneous_spec(0.5)])
+
+
+def test_each_n_draws_once_per_chunk(make_scenario, monkeypatch):
+    draws = []
+    draw_chunk = engine._draw_chunk
+
+    def counted(scenario, seed, t0, t1, settings):
+        draws.append((scenario.n_agents, t0))
+        return draw_chunk(scenario, seed, t0, t1, settings)
+
+    monkeypatch.setattr(engine, "_draw_chunk", counted)
+    run_experiment(*_sweep_args(make_scenario), n_trials=25, master_seed=3,
+                   n_workers=1, settings=EngineSettings(chunk_size=10))
+    # two Ns, three chunks each, shared by all three mechanisms
+    assert draws == [(2, 0), (2, 10), (2, 20), (3, 0), (3, 10), (3, 20)]
+
+
+def test_grouped_mechanisms_match_each_run_alone(make_scenario):
+    args = _sweep_args(make_scenario)
+    settings = EngineSettings(chunk_size=7)
+    grouped = run_experiment(*args, n_trials=25, master_seed=5, n_workers=1,
+                             settings=settings)
+    alone = [res for n in args[3] for mech in args[4]
+             for res in run_experiment(*args[:3], [n], [mech], n_trials=25,
+                                       master_seed=5, n_workers=1,
+                                       settings=settings)]
+    assert grouped == alone
+
+
+def test_progress_fires_once_per_cell_in_order(make_scenario):
+    args = _sweep_args(make_scenario)
+    calls = []
+    results = run_experiment(*args, n_trials=12, master_seed=0, n_workers=1,
+                             progress=lambda *a: calls.append(a))
+    assert [(n, mech.kind) for n in args[3] for mech in args[4]] == \
+        [(res.n_agents, res.mechanism) for res in results]
+    assert calls == [(i + 1, len(results), res)
+                     for i, res in enumerate(results)]
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_experiment_rejects_nonpositive_workers(make_scenario, workers):
     scen = make_scenario(LINEAR, 2)
