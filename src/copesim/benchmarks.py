@@ -29,18 +29,12 @@ from .model import CostTypeDistribution, GaussianPrior, TYPE_CLAMP, principal_ba
 
 # -- centralized (integrated) planner -----------------------------------------
 
-@dataclass(frozen=True)
-class CentralizedSolution:
-    efforts: np.ndarray
-    W_o: Optional[float] = None   # cubic root, quadratic case only
-
-
-def centralized_efforts(theta, cost_kind: str, var0: float) -> CentralizedSolution:
+def centralized_efforts(theta, cost_kind: str, var0: float) -> np.ndarray:
     """First-best effort profile for known types: linear cost concentrates all
     effort on the cheapest agent (the lowest index on ties), quadratic cost
     spreads it through the same cubic as the mechanism but with raw instead
     of virtual costs.  Vectorized over the leading dimensions of a (..., N)
-    type array; W_o is then an array too."""
+    type array."""
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise ValueError("cost types must be positive")
@@ -51,12 +45,11 @@ def centralized_efforts(theta, cost_kind: str, var0: float) -> CentralizedSoluti
         efforts = np.zeros_like(theta)
         np.put_along_axis(efforts, winner, np.maximum(th_w ** -0.5 - prec, 0.0),
                           axis=-1)
-        return CentralizedSolution(efforts=efforts)
+        return efforts
     if cost_kind == QUADRATIC:
         W = mechanism.cubic_root(prec, np.sum(1.0 / theta, axis=-1,
                                               keepdims=True))
-        W_o = float(W[0]) if theta.ndim == 1 else W[..., 0]
-        return CentralizedSolution(efforts=1.0 / (theta * W * W), W_o=W_o)
+        return 1.0 / (theta * W * W)
     raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__, engine, verify
@@ -44,23 +44,6 @@ def write_results_csv(results, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(_result_rows(results))
-
-
-def _config_dict(cfg: ExperimentConfig) -> Dict:
-    return {
-        "mu0": cfg.mu0, "var0": cfg.var0,
-        "theta_lo": cfg.theta_lo, "theta_hi": cfg.theta_hi,
-        "cost": cfg.cost, "n_agents": list(cfg.n_agents_list),
-        "n_trials": cfg.n_trials, "master_seed": cfg.master_seed,
-        "tie_break": cfg.tie_break,
-        "mechanisms": {
-            "cope": cfg.use_cope, "centralized": cfg.use_centralized,
-            "homogeneous": cfg.use_homogeneous,
-        },
-        "theta_dagger": list(cfg.theta_dagger_list),
-        "hom_denominator": cfg.hom_denominator,
-        "output": cfg.output_path, "format": cfg.output_format,
-    }
 
 
 def cmd_run(args) -> int:
@@ -103,7 +86,7 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(out_dir, "results.csv")
     write_results_csv(results, csv_path)
     manifest = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.master_seed,
         "version": __version__,
         "started_at": started_at,

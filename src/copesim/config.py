@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -38,36 +39,34 @@ class ExperimentConfig:
     theta_dagger_list: Tuple[float, ...] = (0.2, 0.5, 0.8)
     hom_denominator: str = "participants"
     output_path: str = "results"
-    output_format: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
-        if not self.var0 > 0:
-            raise ConfigError(f"var0 must be positive, got {self.var0}")
-        if not (0 <= self.theta_lo < self.theta_hi):
+        try:
+            self.prior()
+            self.type_dist()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not (math.isfinite(self.mu0) and math.isfinite(self.var0)):
             raise ConfigError(
-                f"need 0 <= theta_lo < theta_hi, got [{self.theta_lo}, {self.theta_hi}]")
+                f"mu0 and var0 must be finite, got {self.mu0}, {self.var0}")
         if self.cost not in (LINEAR, QUADRATIC):
             raise ConfigError(f"cost must be linear or quadratic, got {self.cost!r}")
-        if not self.n_agents_list:
-            raise ConfigError("n_agents list is empty")
-        if any(n < 1 for n in self.n_agents_list):
-            raise ConfigError(f"every N must be >= 1, got {self.n_agents_list}")
+        if not self.n_agents_list or min(self.n_agents_list) < 1:
+            raise ConfigError(f"n_agents must list Ns >= 1, got {self.n_agents_list}")
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.tie_break not in ("lowest-index", "seeded-random"):
             raise ConfigError(f"unknown tie_break {self.tie_break!r}")
         if self.hom_denominator not in ("participants", "full-n"):
             raise ConfigError(f"unknown denominator {self.hom_denominator!r}")
-        if self.use_homogeneous:
-            if not self.theta_dagger_list:
-                raise ConfigError("homogeneous mechanism enabled with no theta_dagger")
-            if any(td <= 0 for td in self.theta_dagger_list):
-                raise ConfigError(
-                    f"theta_dagger must be positive, got {self.theta_dagger_list}")
+        if self.use_homogeneous and not (self.theta_dagger_list and all(
+                0 < td < math.inf for td in self.theta_dagger_list)):
+            raise ConfigError(f"theta_dagger must list positive finite values, "
+                              f"got {self.theta_dagger_list}")
         if not (self.use_cope or self.use_centralized or self.use_homogeneous):
             raise ConfigError("no mechanism enabled")
-        if self.output_format != "csv":
-            raise ConfigError(f"unsupported output format {self.output_format!r}")
         return self
 
     # -- object builders -----------------------------------------------------
@@ -92,41 +91,37 @@ class ExperimentConfig:
         return mechs
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
+#: The INI schema, one (section, key, field) triple per key, in file order.
+#: A value is read and written by the type of its field's default.
+SCHEMA = (
+    ("model", "mu0", "mu0"),
+    ("model", "var0", "var0"),
+    ("model", "theta_lo", "theta_lo"),
+    ("model", "theta_hi", "theta_hi"),
+    ("model", "cost", "cost"),
+    ("run", "n_agents", "n_agents_list"),
+    ("run", "n_trials", "n_trials"),
+    ("run", "master_seed", "master_seed"),
+    ("run", "tie_break", "tie_break"),
+    ("run", "output", "output_path"),
+    ("mechanism.cope", "enabled", "use_cope"),
+    ("mechanism.centralized", "enabled", "use_centralized"),
+    ("mechanism.homogeneous", "enabled", "use_homogeneous"),
+    ("mechanism.homogeneous", "theta_dagger", "theta_dagger_list"),
+    ("mechanism.homogeneous", "denominator", "hom_denominator"),
+)
+_FIELDS = {(section, key): field for section, key, field in SCHEMA}
+_SECTIONS = {section for section, _ in _FIELDS} | {configparser.DEFAULTSECT}
 
 
-def _fmt_list(values, fmt) -> str:
-    return ", ".join(fmt(v) for v in values)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
-    parser["model"] = {
-        "mu0": _fmt_float(cfg.mu0),
-        "var0": _fmt_float(cfg.var0),
-        "theta_lo": _fmt_float(cfg.theta_lo),
-        "theta_hi": _fmt_float(cfg.theta_hi),
-        "cost": cfg.cost,
-    }
-    parser["run"] = {
-        "n_agents": _fmt_list(cfg.n_agents_list, str),
-        "n_trials": str(cfg.n_trials),
-        "master_seed": str(cfg.master_seed),
-        "tie_break": cfg.tie_break,
-        "output": cfg.output_path,
-        "format": cfg.output_format,
-    }
-    parser["mechanism.cope"] = {"enabled": str(cfg.use_cope).lower()}
-    parser["mechanism.centralized"] = {"enabled": str(cfg.use_centralized).lower()}
-    parser["mechanism.homogeneous"] = {
-        "enabled": str(cfg.use_homogeneous).lower(),
-        "theta_dagger": _fmt_list(cfg.theta_dagger_list, _fmt_float),
-        "denominator": cfg.hom_denominator,
-    }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
@@ -146,63 +141,51 @@ def _parse_int_list(text: str) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _parse_float_list(text: str) -> Tuple[float, ...]:
-    return tuple(float(p) for p in text.replace(";", ",").split(",") if p.strip())
+def _parse_value(text: str, default):
+    """`text` read as the type of `default`."""
+    if isinstance(default, bool):
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if isinstance(default, tuple) and isinstance(default[0], int):
+        return _parse_int_list(text)
+    if isinstance(default, tuple):
+        return tuple(float(p) for p in text.replace(";", ",").split(",")
+                     if p.strip())
+    return type(default)(text)
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str,
-         default: str) -> str:
-    if parser.has_option(section, key):
-        return parser.get(section, key).strip()
-    return default
-
-
-def _get_bool(parser, section, key, default: bool) -> bool:
-    raw = _get(parser, section, key, str(default)).lower()
-    if raw in ("true", "1", "yes", "on"):
-        return True
-    if raw in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
+def serialize_config(cfg: ExperimentConfig) -> str:
+    parser = configparser.ConfigParser()
+    for section, key, field in SCHEMA:
+        parser.read_dict({section: {key: _format_value(getattr(cfg, field))}})
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """Every key of every section, [DEFAULT] included, must be in SCHEMA."""
     parser = configparser.ConfigParser()
+    base = ExperimentConfig()
+    values = {}
     try:
         parser.read_string(text)
+        for section, proxy in parser.items():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, raw in proxy.items():
+                field = _FIELDS.get((section, key))
+                if field is None:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                try:
+                    values[field] = _parse_value(raw, getattr(base, field))
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-    base = ExperimentConfig()
-    try:
-        cfg = ExperimentConfig(
-            mu0=float(_get(parser, "model", "mu0", _fmt_float(base.mu0))),
-            var0=float(_get(parser, "model", "var0", _fmt_float(base.var0))),
-            theta_lo=float(_get(parser, "model", "theta_lo", _fmt_float(base.theta_lo))),
-            theta_hi=float(_get(parser, "model", "theta_hi", _fmt_float(base.theta_hi))),
-            cost=_get(parser, "model", "cost", base.cost),
-            n_agents_list=_parse_int_list(
-                _get(parser, "run", "n_agents", _fmt_list(base.n_agents_list, str))),
-            n_trials=int(_get(parser, "run", "n_trials", str(base.n_trials))),
-            master_seed=int(_get(parser, "run", "master_seed", str(base.master_seed))),
-            tie_break=_get(parser, "run", "tie_break", base.tie_break),
-            output_path=_get(parser, "run", "output", base.output_path),
-            output_format=_get(parser, "run", "format", base.output_format),
-            use_cope=_get_bool(parser, "mechanism.cope", "enabled", base.use_cope),
-            use_centralized=_get_bool(parser, "mechanism.centralized", "enabled",
-                                      base.use_centralized),
-            use_homogeneous=_get_bool(parser, "mechanism.homogeneous", "enabled",
-                                      base.use_homogeneous),
-            theta_dagger_list=_parse_float_list(
-                _get(parser, "mechanism.homogeneous", "theta_dagger",
-                     _fmt_list(base.theta_dagger_list, _fmt_float))),
-            hom_denominator=_get(parser, "mechanism.homogeneous", "denominator",
-                                 base.hom_denominator),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
-    return cfg.validate()
+        raise ConfigError("cannot parse config: "
+                          + "; ".join(str(exc).splitlines())) from None
+    return ExperimentConfig(**values).validate()
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -94,8 +94,8 @@ def cost(model: CostModel, q, theta):
 
 # -- finite differences ------------------------------------------------------
 
-def _step(v: float, rel: float = 1e-6) -> float:
-    return rel * max(1.0, abs(v))
+def _step(v, rel: float = 1e-6):
+    return rel * np.maximum(1.0, np.abs(v))
 
 
 def fd_marginal_dq(model: CostModel, q: float, theta: float) -> float:

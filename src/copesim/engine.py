@@ -274,7 +274,7 @@ def _settle_cope(cell: _Cell, x, obs, est, efforts, terms):
 def _designate_centralized(cell: _Cell, types, t0):
     """The planner knows the types and assigns the first-best efforts."""
     efforts = benchmarks.centralized_efforts(
-        types, cell.scenario.cost_kind, cell.scenario.prior.var0).efforts
+        types, cell.scenario.cost_kind, cell.scenario.prior.var0)
     return np.full_like(types, np.nan), efforts, None
 
 

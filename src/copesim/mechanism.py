@@ -20,7 +20,7 @@ import numpy as np
 # module names
 from scipy import integrate, optimize  # noqa: F401
 
-from .costs import CostModel, fd_total_dtheta, own_effort
+from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta, own_effort
 from .model import (CostTypeDistribution, GaussianPrior, agent_bayes_risk,
                     agent_bayes_risk_deriv)
 
@@ -351,16 +351,13 @@ def payment_rule_quadratic(theta_hat, theta_lo: float, theta_hi: float,
 def _virtual_total(model: CostModel, q: np.ndarray, theta: np.ndarray,
                    inv_hazard: np.ndarray) -> np.ndarray:
     """C(q, theta) + dC/dtheta(q, theta) * F/f, the per-agent virtual cost."""
-    h = 1e-6 * np.maximum(1.0, np.abs(theta))
-    dC = (model.total(q, theta + h) - model.total(q, theta - h)) / (2.0 * h)
-    return model.total(q, theta) + dC * inv_hazard
+    return model.total(q, theta) + fd_total_dtheta(model, q, theta) * inv_hazard
 
 
 def _virtual_marginal(model: CostModel, q: np.ndarray, theta: np.ndarray,
                       inv_hazard: np.ndarray) -> np.ndarray:
-    h = 1e-6 * np.maximum(1.0, np.abs(theta))
-    dc = (model.marginal(q, theta + h) - model.marginal(q, theta - h)) / (2.0 * h)
-    return model.marginal(q, theta) + dc * inv_hazard
+    return (model.marginal(q, theta)
+            + fd_marginal_dtheta(model, q, theta) * inv_hazard)
 
 
 #: _virtual_marginal differentiates in theta by central difference, so its

@@ -13,31 +13,31 @@ from copesim.model import CostTypeDistribution, GaussianPrior, Scenario
 
 
 def test_centralized_linear_concentrates_on_cheapest():
-    sol = B.centralized_efforts([0.25, 0.8], LINEAR, 1.0)
-    assert np.allclose(sol.efforts, [1.0, 0.0])
-    assert sol.W_o is None
+    efforts = B.centralized_efforts([0.25, 0.8], LINEAR, 1.0)
+    assert np.allclose(efforts, [1.0, 0.0])
     # the lone type 1.0 sits exactly at the clamp: no effort worth buying
-    assert np.allclose(B.centralized_efforts([1.0], LINEAR, 1.0).efforts, [0.0])
+    assert np.allclose(B.centralized_efforts([1.0], LINEAR, 1.0), [0.0])
     # ordering, not position, picks the winner
-    sol = B.centralized_efforts([0.8, 0.25], LINEAR, 1.0)
-    assert sol.efforts[0] == 0.0 and sol.efforts[1] > 0.0
+    efforts = B.centralized_efforts([0.8, 0.25], LINEAR, 1.0)
+    assert efforts[0] == 0.0 and efforts[1] > 0.0
 
 
 def test_centralized_quadratic_flat_prior_frozen():
-    sol = B.centralized_efforts([0.5], QUADRATIC, math.inf)
-    assert sol.W_o == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
-    assert sol.efforts[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+    efforts = B.centralized_efforts([0.5], QUADRATIC, math.inf)
+    # total precision W = sum q = 2^(1/3) with no prior precision
+    assert np.sum(efforts) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+    assert efforts[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("var0", [1.0, 4.0, math.inf])
 def test_centralized_quadratic_cubic_residual(var0):
     gen = np.random.default_rng(7)
     theta = gen.uniform(0.05, 1.0, size=5)
-    sol = B.centralized_efforts(theta, QUADRATIC, var0)
+    efforts = B.centralized_efforts(theta, QUADRATIC, var0)
     prec = 0.0 if math.isinf(var0) else 1.0 / var0
-    W = sol.W_o
+    W = prec + np.sum(efforts)   # total precision solves the cubic
     assert abs(W ** 3 - prec * W ** 2 - np.sum(1.0 / theta)) <= 1e-10
-    assert np.allclose(sol.efforts, 1.0 / (theta * W * W))
+    assert np.allclose(efforts, 1.0 / (theta * W * W))
 
 
 def test_centralized_rejects_nonpositive_types():
@@ -52,7 +52,7 @@ def test_centralized_exceeds_mechanism_efforts_quadratic(var0):
     gen = np.random.default_rng(11)
     for _ in range(5):
         theta = gen.uniform(0.05, 1.0, size=5)
-        first_best = B.centralized_efforts(theta, QUADRATIC, var0).efforts
+        first_best = B.centralized_efforts(theta, QUADRATIC, var0)
         screened = mechanism.effort_quadratic(theta, 0.0, var0)
         assert np.all(first_best > screened)
 

@@ -4,6 +4,7 @@
 import csv
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -59,6 +60,15 @@ def test_parse_rejects_bad_values():
         load_config("/nonexistent/copesim.ini")
 
 
+@pytest.mark.parametrize("text, name", [
+    ("[DEFAULT]\nmu0 = 1.0\n", "'mu0' in [DEFAULT]"),
+    ("[run]\nformat = csv\n", "'format' in [run]"),   # older save_config
+])
+def test_parse_rejects_keys_outside_the_schema(text, name):
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("overrides", [
     {"var0": 0.0},
     {"theta_lo": 0.5, "theta_hi": 0.5},
@@ -71,7 +81,12 @@ def test_parse_rejects_bad_values():
     {"theta_dagger_list": ()},
     {"theta_dagger_list": (0.0, 0.5)},
     {"use_cope": False, "use_centralized": False, "use_homogeneous": False},
-    {"output_format": "parquet"},
+    {"master_seed": -1},
+    {"mu0": float("nan")},
+    {"var0": float("inf")},
+    {"theta_hi": float("inf")},
+    {"theta_dagger_list": (0.5, float("inf"))},
+    {"theta_dagger_list": (float("nan"),)},
 ])
 def test_validate_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -128,7 +143,12 @@ def test_cli_run_writes_results_and_manifest(tmp_path):
     assert set(manifest) == {"config", "elapsed_s", "seed", "started_at",
                              "version"}
     assert manifest["seed"] == 0
-    assert manifest["config"]["n_agents"] == [2, 3]
+    config = manifest["config"]
+    assert config["n_agents_list"] == [2, 3]
+    echoed = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in config.items()})
+    assert echoed == replace(load_config(_write_tiny_config(tmp_path)),
+                             output_path=out)
 
 
 def test_cli_run_is_byte_stable_across_runs_and_workers(tmp_path):
@@ -145,6 +165,21 @@ def test_cli_run_is_byte_stable_across_runs_and_workers(tmp_path):
 def test_cli_run_missing_config(tmp_path):
     rc = cli.main(["run", "-c", str(tmp_path / "absent.ini")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("[run]\nn_trails = 10\n", "error: unknown key 'n_trails' in [run]"),
+    ("[modle]\ncost = linear\n", "error: unknown section [modle]"),
+    ("[run]\nmaster_seed = -1\n", "error: master_seed must be >= 0, got -1"),
+])
+def test_cli_run_rejects_bad_config(tmp_path, capsys, ini, message):
+    path = str(tmp_path / "bad.ini")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(ini)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "-c", path, "-o", out, "-q"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not os.path.exists(out)
 
 
 def test_cli_run_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
