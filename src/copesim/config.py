@@ -2,7 +2,8 @@
 
 Defaults reproduce the headline comparison: standard normal prior, uniform
 types on [0, 1], N from 3 to 19, posted-contract design points 0.2 / 0.5 /
-0.8, 50000 trials per cell.  serialize/parse round-trip exactly.
+0.8, 50000 trials per cell.  serialize/parse round-trip exactly; values are
+read verbatim, with no % interpolation.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ class ExperimentConfig:
             raise ConfigError(f"cost must be linear or quadratic, got {self.cost!r}")
         if not self.n_agents_list or min(self.n_agents_list) < 1:
             raise ConfigError(f"n_agents must list Ns >= 1, got {self.n_agents_list}")
+        repeated = sorted({n for n in self.n_agents_list
+                           if self.n_agents_list.count(n) > 1})
+        if repeated:
+            raise ConfigError("n_agents repeats N = "
+                              + ", ".join(map(str, repeated)))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.master_seed < 0:
@@ -156,7 +162,7 @@ def _parse_value(text: str, default):
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, key, field in SCHEMA:
         parser.read_dict({section: {key: _format_value(getattr(cfg, field))}})
     buf = io.StringIO()
@@ -166,7 +172,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Every key of every section, [DEFAULT] included, must be in SCHEMA."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     base = ExperimentConfig()
     values = {}
     try:

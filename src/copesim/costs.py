@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
@@ -26,7 +26,6 @@ class CostModel:
     kind: str
     marginal: Callable   # c(q, theta)
     total: Callable      # C(q, theta) = integral of c from 0 to q
-    support: Optional[Tuple[float, float]] = None  # optional theta domain for cost()
 
 
 def _linear_marginal(q, theta):
@@ -59,36 +58,29 @@ def _quadrature_total(marginal: Callable, q, theta):
 # Cost models hold module-level functions (bound with functools.partial where
 # needed) so that a Scenario pickles and can be sent to worker processes.
 
-def linear_cost(support: Optional[Tuple[float, float]] = None) -> CostModel:
-    return CostModel(kind=LINEAR, marginal=_linear_marginal,
-                     total=_linear_total, support=support)
+def linear_cost() -> CostModel:
+    return CostModel(kind=LINEAR, marginal=_linear_marginal, total=_linear_total)
 
 
-def quadratic_cost(support: Optional[Tuple[float, float]] = None) -> CostModel:
+def quadratic_cost() -> CostModel:
     return CostModel(kind=QUADRATIC, marginal=_quadratic_marginal,
-                     total=_quadratic_total, support=support)
+                     total=_quadratic_total)
 
 
-def general_cost(marginal: Callable, total: Optional[Callable] = None,
-                 support: Optional[Tuple[float, float]] = None) -> CostModel:
+def general_cost(marginal: Callable,
+                 total: Optional[Callable] = None) -> CostModel:
     """Cost model from an arbitrary marginal; total by quadrature if omitted."""
     if total is None:
         total = functools.partial(_quadrature_total, marginal)
-    return CostModel(kind=GENERAL, marginal=marginal, total=total, support=support)
+    return CostModel(kind=GENERAL, marginal=marginal, total=total)
 
 
 def cost(model: CostModel, q, theta):
-    """Total cost C(q, theta) with domain checks."""
+    """Total cost C(q, theta); effort must be >= 0."""
     q_arr = np.asarray(q, dtype=float)
-    theta_arr = np.asarray(theta, dtype=float)
     if np.any(q_arr < 0):
         raise ValueError("effort must be >= 0")
-    if model.support is not None:
-        lo, hi = model.support
-        if np.any(theta_arr < lo) or np.any(theta_arr > hi):
-            raise ValueError(
-                f"cost type outside support [{lo}, {hi}]: {theta}")
-    out = model.total(q_arr, theta_arr)
+    out = model.total(q_arr, np.asarray(theta, dtype=float))
     return float(out) if np.isscalar(q) and np.isscalar(theta) else out
 
 

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-# optimize is not called here; perfbench's tracer counts calls through both
-# module names
-from scipy import integrate, optimize  # noqa: F401
+from scipy import integrate, optimize
 
 from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta, own_effort
 from .model import (CostTypeDistribution, GaussianPrior, agent_bayes_risk,
@@ -577,22 +575,6 @@ def general_objective_hessian(model: CostModel, type_dist: CostTypeDistribution,
     return H
 
 
-def _last_recruiting(effort_i: Callable, lo: float, hi: float) -> float:
-    """Largest own report in [lo, hi] at which effort_i, positive at lo and
-    nonincreasing, is still positive, bisected to adjacent floats.  An exit
-    within _TOL of lo, such as the sliver of rounding width that a tie at lo
-    leaves to effort_general, counts as lo."""
-    if effort_i(hi) > 0.0:
-        return hi
-    if lo + _TOL >= hi or effort_i(lo + _TOL) <= 0.0:
-        return lo
-    lo += _TOL
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if effort_i(mid) > 0.0 else (lo, mid)
-    return lo
-
-
 def payment_rule_general(model: CostModel, efforts: Callable,
                          type_dist: CostTypeDistribution, theta_hat,
                          var0: float) -> PaymentRule:
@@ -606,10 +588,13 @@ def payment_rule_general(model: CostModel, efforts: Callable,
     information rent, integrating the type-derivative of the total cost along
     the rule in the agent's own report z, the rivals' reports held fixed.
     Effort can drop to 0 as z rises (linear cost: at a rival's report or the
-    agent's own clamp point), and quad misses such drops, so the rent runs
-    only up to the last report that still recruits the agent, found by
-    bisection; where the rule leaves some agent idle, the rival reports
-    below it are breakpoints.
+    agent's own clamp point), and quad misses such drops, so the rent stops
+    where the agent exits.  Once its effort is 0 the rivals play their own
+    equilibrium, of total precision P = 1/var0 + sum of efforts(rival
+    reports), so the exit is the least z whose virtual marginal cost at zero
+    effort reaches 1/P^2 (theta_hi if none): one more rule call and one
+    scalar root.  Where the rule leaves some agent idle, the rival reports
+    below the exit are breakpoints.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     prior = GaussianPrior(0.0, var0)
@@ -629,11 +614,27 @@ def payment_rule_general(model: CostModel, efforts: Callable,
             reports[i] = z
             return efforts(reports)[i]
 
-        upper = _last_recruiting(effort_i, float(theta_hat[i]), hi)
+        rivals = np.delete(theta_hat, i)
+        p_rest = 1.0 / var0 + (float(efforts(rivals).sum()) if rivals.size
+                               else 0.0)
+
+        def exit_gap(z):
+            # vm(0; z) P^2 - 1: never positive at P = 0 (var0 = inf, N = 1)
+            return float(_virtual_marginal(model, 0.0, z,
+                                           type_dist.inverse_hazard(z))
+                         ) * p_rest * p_rest - 1.0
+
+        lo = float(theta_hat[i])
+        if exit_gap(lo) >= 0.0:
+            upper = lo      # a tie: the rival that it ties takes over at once
+        elif exit_gap(hi) <= 0.0:
+            upper = hi
+        else:
+            upper = optimize.brentq(exit_gap, lo, hi, xtol=_EPS)
         jumps = theta_hat[(theta_hat > theta_hat[i]) & (theta_hat < upper)]
         rent, _ = integrate.quad(
             lambda z: fd_total_dtheta(model, effort_i(z), z),
-            float(theta_hat[i]), upper, epsabs=1e-10, epsrel=1e-10, limit=60,
+            lo, upper, epsabs=1e-10, epsrel=1e-10, limit=60,
             points=jumps if jumps.size and np.any(q <= 0.0) else None)
         reports[i] = theta_hat[i]
         pi[i] = float(model.total(Q, theta_hat[i])) + rent

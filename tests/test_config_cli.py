@@ -12,7 +12,8 @@ import pytest
 from copesim import cli
 from copesim.mechanism import SolverError
 from copesim.config import (ConfigError, ExperimentConfig, _parse_int_list,
-                            load_config, parse_config, serialize_config)
+                            load_config, parse_config, save_config,
+                            serialize_config)
 
 TINY_INI = """\
 [model]
@@ -37,6 +38,15 @@ def test_roundtrip_custom_config():
         theta_dagger_list=(0.3,), hom_denominator="full-n",
         output_path="out2")
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_save_load_roundtrip_keeps_percent_signs(tmp_path):
+    # values are read verbatim: "%" is not configparser interpolation
+    cfg = ExperimentConfig(output_path="a%b")
+    path = str(tmp_path / "pct.ini")
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    assert parse_config("[run]\noutput = a%%b\n").output_path == "a%%b"
 
 
 def test_parse_int_list_forms():
@@ -75,6 +85,8 @@ def test_parse_rejects_keys_outside_the_schema(text, name):
     {"theta_lo": -0.1},
     {"n_agents_list": ()},
     {"n_agents_list": (0, 3)},
+    {"n_agents_list": (2, 2)},
+    {"n_agents_list": (3, 4, 5, 4)},
     {"n_trials": 0},
     {"tie_break": "coin-flip"},
     {"hom_denominator": "half"},
@@ -171,6 +183,7 @@ def test_cli_run_missing_config(tmp_path):
     ("[run]\nn_trails = 10\n", "error: unknown key 'n_trails' in [run]"),
     ("[modle]\ncost = linear\n", "error: unknown section [modle]"),
     ("[run]\nmaster_seed = -1\n", "error: master_seed must be >= 0, got -1"),
+    ("[run]\nn_agents = 3-5, 4\n", "error: n_agents repeats N = 4"),
 ])
 def test_cli_run_rejects_bad_config(tmp_path, capsys, ini, message):
     path = str(tmp_path / "bad.ini")

@@ -41,13 +41,6 @@ def test_negative_effort_rejected():
         cost(linear_cost(), -1.0, 0.5)
 
 
-def test_support_enforced():
-    model = linear_cost(support=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        cost(model, 1.0, 1.5)
-    assert cost(model, 1.0, 0.5) == pytest.approx(0.5)
-
-
 def test_general_cost_total_by_quadrature():
     model = general_cost(marginal=lambda q, theta: theta * np.asarray(q, float))
     # integral of theta*z from 0 to q is theta*q^2/2

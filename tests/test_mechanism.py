@@ -524,6 +524,35 @@ def test_general_payment_pays_the_rent_below_the_clamp_point(theta):
     assert np.allclose(got.pi, want.pi, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [
+    [0.04901338956309209, 0.38959528429882206, 0.36603905726213826],
+    [0.6890271371485683, 0.5550966788978652, 0.04201178906868608,
+     0.2961499997837337, 0.9271669354015911]])
+def test_general_solver_payment_matches_linear_rule(theta):
+    # the winner's rent stops where its report passes the runner-up's, the
+    # exit that the rivals-only equilibrium gives
+    rule = partial(mechanism.effort_general, linear_cost(), U01, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mechanism.payment_rule_general(linear_cost(), rule, U01, theta,
+                                             1.0)
+    want = mechanism.payment_rule_linear(theta, 0.0, 1.0, 1.0)
+    assert np.allclose(got.pi, want.pi, rtol=0.0, atol=1e-10)
+
+
+def test_general_payment_finds_the_exit_without_search():
+    # one rule call for the efforts, one for the winner's rivals alone and
+    # one per node of the rent quadrature
+    calls = []
+
+    def rule(reports):
+        calls.append(len(reports))
+        return mechanism.effort_general(linear_cost(), U01, 1.0, reports)
+
+    mechanism.payment_rule_general(linear_cost(), rule, U01, [0.2, 0.6], 1.0)
+    assert len(calls) <= 30
+
+
 # -- predictor ----------------------------------------------------------------
 
 def test_predict_unshrinks_single_report():
