@@ -19,9 +19,8 @@ from .mechanism import (PaymentRule, SolverError, effort_linear,
                         payment_rule_general, predict_batch)
 from .agents import (truthful_report_obs, interim_payoff, best_response_type,
                      best_response_effort, information_rent)
-from .benchmarks import (centralized_efforts, network_profit_bayes,
-                         HomogeneousContract, homogeneous_contract,
-                         homogeneous_agent_response, homogeneous_predict,
+from .benchmarks import (centralized_efforts, HomogeneousContract,
+                         homogeneous_contract, homogeneous_predict,
                          homogeneous_expected_payoff, homogeneous_fallback)
 from .engine import (MechanismSpec, EngineSettings, TrialRecord, MetricStat,
                      ExperimentResult, run_trial, run_batch, run_experiment,

@@ -23,8 +23,9 @@ from scipy.optimize import brentq
 
 from . import mechanism
 from .agents import optimal_effort_linear, reward_effort_quadratic
-from .costs import CostModel, LINEAR, QUADRATIC, cost
-from .model import CostTypeDistribution, GaussianPrior, TYPE_CLAMP, principal_bayes_risk
+# perfbench's tracer wraps benchmarks.cost, so the name stays importable here
+from .costs import LINEAR, QUADRATIC, cost  # noqa: F401
+from .model import CostTypeDistribution, GaussianPrior, TYPE_CLAMP
 
 
 # -- centralized (integrated) planner -----------------------------------------
@@ -51,16 +52,6 @@ def centralized_efforts(theta, cost_kind: str, var0: float) -> np.ndarray:
                                               keepdims=True))
         return 1.0 / (theta * W * W)
     raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
-
-
-def network_profit_bayes(efforts, theta, cost_model: CostModel,
-                         prior: GaussianPrior) -> float:
-    """Model-implied network profit of an effort profile: minus the
-    principal's Bayes risk minus total effort cost."""
-    efforts = np.asarray(efforts, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return float(-principal_bayes_risk(prior, efforts)
-                 - np.sum(cost(cost_model, efforts, theta)))
 
 
 # -- homogeneous contract ------------------------------------------------------
@@ -118,18 +109,50 @@ def homogeneous_response_batch(theta, contract: HomogeneousContract,
     with np.errstate(divide="ignore"):
         risk = np.where(prec + q > 0.0, 1.0 / (prec + q), np.inf)
     payoff = contract.alpha - beta * risk - c
-    # quadratic contracts bind exactly at theta_dagger; an indifferent agent
-    # participates, so absorb the rounding residue of the zero payoff
-    tol = 1e-9 * max(1.0, abs(contract.alpha))
-    return q, payoff >= -tol
+    return q, payoff >= -_take_tol(contract)
 
 
-def homogeneous_agent_response(theta: float, contract: HomogeneousContract,
-                               cost_kind: str, var0: float
-                               ) -> Tuple[float, bool]:
-    q, take = homogeneous_response_batch(np.array([theta]), contract,
-                                         cost_kind, var0)
-    return float(q[0]), bool(take[0])
+def _take_tol(contract: HomogeneousContract) -> float:
+    """Quadratic contracts bind exactly at theta_dagger; an indifferent agent
+    participates, so the rule absorbs the rounding residue of a zero
+    payoff."""
+    return 1e-9 * max(1.0, abs(contract.alpha))
+
+
+def homogeneous_type_cut(contract: HomogeneousContract,
+                         type_dist: CostTypeDistribution, var0: float,
+                         cost_kind: str) -> float:
+    """A type above which homogeneous_response_batch admits no agent, or inf
+    when no type in the distribution's range can be ruled out.  The payoff
+    at the agent's own best response falls in type, so the cut is where the
+    closed-form payoff sits far below the rule's tolerance; past it the
+    rule's rounding cannot reach -tol."""
+    hi = type_dist.theta_hi
+    prec = 1.0 / var0
+    alpha, beta = contract.alpha, contract.beta
+    tol = _take_tol(contract)
+    if cost_kind == LINEAR:
+        # alpha - 2 sqrt(beta t) + t/var0 while the response is positive
+        # (t < beta var0^2), then the constant alpha - beta var0
+        target = -1000.0 * tol
+        if prec > 0.0 and alpha - beta * var0 >= target:
+            return math.inf
+        u = lambda t: alpha - 2.0 * math.sqrt(beta * t) + t * prec - target
+        if u(0.0) <= 0.0:
+            return 0.0
+        # u(edge) < 0: the tail constant, or -(alpha - target) when prec = 0
+        edge = beta * var0 * var0 if prec > 0.0 else (alpha - target) ** 2 / beta
+        cut = float(brentq(u, 0.0, edge, xtol=1e-15, maxiter=200))
+    elif cost_kind == QUADRATIC:
+        # U'(t) = -q(t)^2/2 with q falling in t and U(theta_dagger) = 0, so
+        # U(t) <= -(t - theta_dagger) q(theta_hi)^2/2 < -2 tol past the cut
+        q_hi = float(reward_effort_quadratic(beta, hi, prec))
+        if not q_hi > 0.0:
+            return math.inf
+        cut = contract.theta_dagger + 4.0 * tol / (q_hi * q_hi)
+    else:
+        raise ValueError(f"no homogeneous response for cost kind {cost_kind!r}")
+    return cut if cut < hi else math.inf
 
 
 def homogeneous_predict(contract: HomogeneousContract, reports, prior:
@@ -144,36 +167,59 @@ def homogeneous_predict(contract: HomogeneousContract, reports, prior:
     dimensions of a (..., N) report array; a float for one vector.
     """
     reports = np.asarray(reports, dtype=float)
-    mu0, prec, q = prior.mu0, prior.precision, contract.q_dagger
     filed = ~np.isnan(reports)
-    m = filed.sum(axis=-1)
-    if q <= 0.0:
-        out = np.full(m.shape, mu0)
-    else:
-        g = reports + (reports - mu0) * (prec / q)
-        den = prec + (m if n_denominator is None else n_denominator) * q
-        dev = q * np.where(filed, g - mu0, 0.0).sum(axis=-1)
-        out = np.where(m > 0, mu0 + dev / np.where(den > 0, den, 1.0), mu0)
+    out = _predict_filed(contract, reports, filed, filed.sum(axis=-1), prior,
+                         n_denominator)
     return float(out) if out.ndim == 0 else out
 
 
+def _predict_filed(contract: HomogeneousContract, reports, filed, m,
+                   prior: GaussianPrior, n_denominator: Optional[int]):
+    """homogeneous_predict given the filed mask and its per-trial count m."""
+    mu0, prec, q = prior.mu0, prior.precision, contract.q_dagger
+    if q <= 0.0:
+        return np.full(m.shape, mu0)
+    g = reports + (reports - mu0) * (prec / q)
+    den = prec + (m if n_denominator is None else n_denominator) * q
+    dev = q * np.where(filed, g - mu0, 0.0).sum(axis=-1)
+    return np.where(m > 0, mu0 + dev / np.where(den > 0, den, 1.0), mu0)
+
+
 def homogeneous_settle_batch(contract: HomogeneousContract, x, reports,
-                             efforts, prior: GaussianPrior,
+                             efforts, take, prior: GaussianPrior,
                              n_denominator: Optional[int] = None
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The principal's side of the posted contract for a (T, N) chunk of
     trials with latent states x (T,): (prediction, payments, expected
-    squared error).  NaN reports mark agents that did not participate; each
-    participant is paid alpha - beta (x - report)^2.  The expected squared
-    error is exact given the trial's efforts and participation: the
-    mis-specified aggregate is linear in the latent state and the noises,
-    each report weighted by c_m."""
+    squared error).  take marks the participants, whose reports count; each
+    is paid alpha - beta (x - report)^2.  The expected squared error is
+    exact given the trial's efforts and participation: the mis-specified
+    aggregate is linear in the latent state and the noises, each report
+    weighted by c_m.  A trial without a participant predicts mu0, pays
+    nothing and errs by var0 under either denominator, so only trials with
+    a participant are computed."""
+    rows = take.any(axis=1)
+    if rows.all():
+        return _settle_rows(contract, x, reports, efforts, take, prior,
+                            n_denominator)
+    prediction = np.full(x.size, prior.mu0)
+    payments = np.zeros_like(efforts)
+    expected_sq = np.full(x.size, prior.var0)
+    prediction[rows], payments[rows], expected_sq[rows] = _settle_rows(
+        contract, x[rows], reports[rows], efforts[rows], take[rows], prior,
+        n_denominator)
+    return prediction, payments, expected_sq
+
+
+def _settle_rows(contract: HomogeneousContract, x, reports, efforts, take,
+                 prior: GaussianPrior, n_denominator: Optional[int]):
+    """homogeneous_settle_batch on trials that each have a participant."""
     var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
-    take = ~np.isnan(reports)
-    prediction = homogeneous_predict(contract, reports, prior, n_denominator)
+    m = take.sum(axis=1)
+    prediction = _predict_filed(contract, reports, take, m, prior,
+                                n_denominator)
     payments = np.where(
         take, contract.alpha - contract.beta * (x[:, None] - reports) ** 2, 0.0)
-    m = take.sum(axis=1)
     den = prec + (m if n_denominator is None else n_denominator) * q_dag
     b = np.where(take, efforts / (prec + efforts), 0.0)
     w = np.where(take, efforts / (prec + efforts) ** 2, 0.0)

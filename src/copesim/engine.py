@@ -9,7 +9,10 @@ every random quantity is read positionally from counter-based streams keyed
 by (master seed, N, purpose), so trial t is the same no matter how work is
 chunked or parallelized.  Each chunk of one N is drawn once and every
 mechanism at that N runs on that draw, so the mechanisms share their world
-draws trial by trial (common random numbers).
+draws trial by trial (common random numbers).  Posted-contract cells
+evaluate best responses only at types at or below the cell's cut and settle
+only the trials with a participant.  Statistics merge fixed 4 096-trial
+blocks, so they do not depend on the chunk size either.
 """
 
 from __future__ import annotations
@@ -162,14 +165,21 @@ def _draw_chunk(scenario: Scenario, seed: int, t0: int, t1: int,
 def _observe(x: np.ndarray, efforts: np.ndarray, noise: np.ndarray,
              prior: GaussianPrior):
     """Observations and truthful (posterior-mean) estimate reports; agents
-    with zero effort observe nothing and report the prior mean."""
-    active = efforts > 0
-    safe_q = np.where(active, efforts, 1.0)
-    obs = np.where(active, x[..., None] + noise / np.sqrt(safe_q),
-                   NO_OBSERVATION)
-    # idle agents' NaN observations are replaced by the prior mean
-    reports = np.where(active, agents.truthful_report_obs(obs, efforts, prior),
-                       prior.mu0)
+    with zero effort observe nothing and report the prior mean.  Both are
+    formed densely (agents.truthful_report_obs's shrinkage, exact for
+    positive effort) and the idle entries overwritten afterwards."""
+    prec = prior.precision
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # x + noise/sqrt(q) and (mu0 prec + obs q)/(prec + q), in place
+        obs = np.sqrt(efforts)
+        np.divide(noise, obs, out=obs)
+        obs += x[..., None]
+        reports = obs * efforts
+        reports += prior.mu0 * prec
+        reports /= prec + efforts
+    idle = ~(efforts > 0)
+    obs[idle] = NO_OBSERVATION
+    reports[idle] = prior.mu0
     return obs, reports
 
 
@@ -289,26 +299,31 @@ def _settle_centralized(cell: _Cell, x, obs, est, efforts, terms):
 
 def _designate_homogeneous(cell: _Cell, types, t0):
     """Agents who take the posted contract best-respond to its reward; terms
-    are who takes it."""
-    contract, posted, _ = cell.state
-    nan = np.full_like(types, np.nan)
-    if not posted:
-        return nan, np.zeros_like(types), np.zeros(types.shape, dtype=bool)
-    q_best, take = benchmarks.homogeneous_response_batch(
-        types, contract, cell.scenario.cost_kind, cell.scenario.prior.var0)
-    return nan, np.where(take, q_best, 0.0), take
+    are who takes it.  Responses are evaluated only at types at or below the
+    cell's cut, above which nobody takes the contract."""
+    contract, posted, _, cut = cell.state
+    efforts = np.zeros_like(types)
+    take = np.zeros(types.shape, dtype=bool)
+    if posted:
+        low = types <= cut
+        q_low, take_low = benchmarks.homogeneous_response_batch(
+            types[low], contract, cell.scenario.cost_kind,
+            cell.scenario.prior.var0)
+        efforts[low] = np.where(take_low, q_low, 0.0)
+        take[low] = take_low
+    return np.full_like(types, np.nan), efforts, take
 
 
 def _settle_homogeneous(cell: _Cell, x, obs, est, efforts, take):
     prior = cell.scenario.prior
-    contract, posted, n_den = cell.state
+    contract, posted, n_den, _ = cell.state
     reports = np.where(take, est, np.nan)   # only participants file a report
     if not posted:
         # principal opts out: predict the prior mean, pay nothing
         return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
             np.full(x.size, prior.var0), reports
     return (*benchmarks.homogeneous_settle_batch(
-        contract, x, reports, efforts, prior, n_den), reports)
+        contract, x, reports, efforts, take, prior, n_den), reports)
 
 
 _STEPS = {
@@ -324,8 +339,8 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
                 settings: EngineSettings):
     """Per-cell setup: the posted contract, whether the principal posts it at
     all (its exact expected payoff beats opting out and the designed effort
-    is positive) and the predictor's fixed denominator; or the general-cost
-    effort rule."""
+    is positive), the predictor's fixed denominator and the type cut above
+    which nobody takes the contract; or the general-cost effort rule."""
     prior, n, kind = scenario.prior, scenario.n_agents, scenario.cost_kind
     if mech.kind == "homogeneous":
         contract = benchmarks.homogeneous_contract(mech.theta_dagger, n, kind,
@@ -333,7 +348,10 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
         n_den = n if settings.hom_denominator == "full-n" else None
         use_mech, _ = benchmarks.homogeneous_fallback(
             contract, scenario.type_dist, prior, n, kind, n_den)
-        return contract, use_mech and contract.q_dagger > 0.0, n_den
+        posted = use_mech and contract.q_dagger > 0.0
+        cut = benchmarks.homogeneous_type_cut(
+            contract, scenario.type_dist, prior.var0, kind) if posted else None
+        return contract, posted, n_den, cut
     if mech.kind == "cope-general":
         return partial(mechanism.effort_general, scenario.cost_model,
                        scenario.type_dist, prior.var0)
@@ -417,8 +435,15 @@ def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
     return {k: np.concatenate([p[k] for p in parts]) for k in METRICS}
 
 
+#: trials per moment block: statistics merge fixed blocks aligned to trial 0,
+#: so they do not depend on the chunk size
+_MOMENT_BLOCK = 4096
+
+
 class _Moments:
-    """Streaming mean/variance (Welford, chunk-merged) plus min/max."""
+    """Streaming mean/variance (Welford, merged over _MOMENT_BLOCK-trial
+    blocks) plus min/max.  add() takes consecutive trials in any lengths and
+    holds a partial block until it fills or stat() is called."""
 
     def __init__(self):
         self.n = 0
@@ -426,6 +451,21 @@ class _Moments:
         self.m2 = 0.0
         self.mn = np.inf
         self.mx = -np.inf
+        self._pending: List[np.ndarray] = []
+        self._n_pending = 0
+
+    def add(self, v: np.ndarray) -> None:
+        self._pending.append(v)
+        self._n_pending += v.size
+        if self._n_pending < _MOMENT_BLOCK:
+            return
+        buf = self._pending[0] if len(self._pending) == 1 \
+            else np.concatenate(self._pending)
+        n_full = buf.size - buf.size % _MOMENT_BLOCK
+        for b0 in range(0, n_full, _MOMENT_BLOCK):
+            self.update(buf[b0:b0 + _MOMENT_BLOCK])
+        self._pending = [buf[n_full:]] if n_full < buf.size else []
+        self._n_pending = buf.size - n_full
 
     def update(self, v: np.ndarray) -> None:
         nb = v.size
@@ -440,6 +480,9 @@ class _Moments:
         self.mx = max(self.mx, float(v.max()))
 
     def stat(self) -> MetricStat:
+        if self._n_pending:
+            self.update(np.concatenate(self._pending))
+            self._pending, self._n_pending = [], 0
         if self.n > 1:
             se = float(np.sqrt(self.m2 / (self.n - 1) / self.n))
         else:
@@ -452,12 +495,12 @@ def _run_cells(scenario: Scenario, mechs: Sequence[MechanismSpec],
                seed: int, n_trials: int, settings: EngineSettings
                ) -> List[ExperimentResult]:
     """The sweep cells of one N, in mechs order: each chunk is drawn once and
-    every mechanism's chunks are reduced to its own metric moments."""
+    every mechanism's trials are reduced to its own metric moments."""
     acc = [{k: _Moments() for k in METRICS} for _ in mechs]
     for i, metrics, rec in _chunks(scenario, mechs, seed, 0, n_trials,
                                    settings):
         for k in METRICS:
-            acc[i][k].update(metrics[k])
+            acc[i][k].add(metrics[k])
         # free this mechanism's (T, N) arrays before the next one designates
         del metrics, rec
     return [ExperimentResult(

@@ -57,12 +57,6 @@ def test_centralized_exceeds_mechanism_efforts_quadratic(var0):
         assert np.all(first_best > screened)
 
 
-def test_network_profit_bayes_spot():
-    prof = B.network_profit_bayes([1.0, 0.0], [0.25, 0.8], linear_cost(),
-                                  GaussianPrior(0.0, 1.0))
-    assert prof == pytest.approx(-0.75)
-
-
 def test_homogeneous_contract_linear_frozen():
     c = B.homogeneous_contract(0.25, 2, LINEAR, 1.0)
     assert c.q_dagger == pytest.approx(0.5)
@@ -94,13 +88,13 @@ def test_homogeneous_response_self_consistent(kind, var0):
     # the reward weight beta is sized so theta_dagger's own best response is
     # exactly the designed effort
     c = B.homogeneous_contract(0.25 if kind == LINEAR else 0.5, 3, kind, var0)
-    q, _ = B.homogeneous_agent_response(c.theta_dagger, c, kind, var0)
-    assert abs(q - c.q_dagger) <= 1e-10
+    q, _ = B.homogeneous_response_batch([c.theta_dagger], c, kind, var0)
+    assert abs(q[0] - c.q_dagger) <= 1e-10
 
 
 def test_homogeneous_response_monotone_in_type():
     c = B.homogeneous_contract(0.25, 2, LINEAR, 1.0)
-    q_low, _ = B.homogeneous_agent_response(0.1, c, LINEAR, 1.0)
+    (q_low,), _ = B.homogeneous_response_batch([0.1], c, LINEAR, 1.0)
     assert q_low == pytest.approx(math.sqrt(0.5625 / 0.1) - 1.0)
     assert q_low > c.q_dagger
     qs, _ = B.homogeneous_response_batch(np.array([0.1, 0.2, 0.4]), c,
@@ -113,24 +107,25 @@ def test_linear_participation_excludes_theta_dagger():
     # cost at its own best response; only sufficiently cheap types opt in
     # (threshold 0.0625 for this contract)
     c = B.homogeneous_contract(0.25, 2, LINEAR, 1.0)
-    q, take = B.homogeneous_agent_response(0.25, c, LINEAR, 1.0)
+    (q,), (take,) = B.homogeneous_response_batch([0.25], c, LINEAR, 1.0)
     assert q == pytest.approx(c.q_dagger) and not take
-    _, take_lo = B.homogeneous_agent_response(0.05, c, LINEAR, 1.0)
-    _, take_edge = B.homogeneous_agent_response(0.0625, c, LINEAR, 1.0)
-    _, take_out = B.homogeneous_agent_response(0.0626, c, LINEAR, 1.0)
+    _, (take_lo,) = B.homogeneous_response_batch([0.05], c, LINEAR, 1.0)
+    _, (take_edge,) = B.homogeneous_response_batch([0.0625], c, LINEAR, 1.0)
+    _, (take_out,) = B.homogeneous_response_batch([0.0626], c, LINEAR, 1.0)
     assert take_lo and take_edge and not take_out
 
 
 def test_quadratic_participation_binds_at_theta_dagger():
     c = B.homogeneous_contract(0.5, 3, QUADRATIC, 1.0)
-    _, take_at = B.homogeneous_agent_response(0.5, c, QUADRATIC, 1.0)
-    _, take_above = B.homogeneous_agent_response(0.5001, c, QUADRATIC, 1.0)
+    _, (take_at,) = B.homogeneous_response_batch([0.5], c, QUADRATIC, 1.0)
+    _, (take_above,) = B.homogeneous_response_batch([0.5001], c, QUADRATIC,
+                                                    1.0)
     assert take_at and not take_above
 
 
 def test_top_type_shirks_and_declines():
     c = B.homogeneous_contract(0.8, 3, LINEAR, 1.0)
-    q, take = B.homogeneous_agent_response(1.0, c, LINEAR, 1.0)
+    (q,), (take,) = B.homogeneous_response_batch([1.0], c, LINEAR, 1.0)
     assert q == 0.0 and not take
 
 
@@ -291,3 +286,126 @@ def test_posted_contract_payoffs_do_not_depend_on_prior_mean():
     at2 = _posted_cell(2.0, n_trials=5_000)
     for k in engine.METRICS:
         assert np.allclose(at2[k], at0[k], rtol=0.0, atol=1e-9), k
+
+
+# -- the posted contract evaluated only where it can be taken ------------------
+
+CUT_CASES = [(kind, td, var0, n) for kind in (LINEAR, QUADRATIC)
+             for td in (0.2, 0.5, 0.8) for var0 in (0.25, 1.0, 4.0)
+             for n in (1, 3, 19)] \
+    + [(kind, 0.5, math.inf, 3) for kind in (LINEAR, QUADRATIC)]
+
+
+def _full_response(types, contract, kind, var0):
+    q, take = B.homogeneous_response_batch(types, contract, kind, var0)
+    return np.where(take, q, 0.0), take
+
+
+@pytest.mark.parametrize("kind,td,var0,n", CUT_CASES)
+def test_cut_designate_matches_full_response(kind, td, var0, n):
+    # types crowd the cut and the participation threshold below it; the
+    # masked designate step must give the full evaluation's (q, take) bit
+    # for bit, and nobody above the cut may take the contract
+    u01 = CostTypeDistribution.uniform(0.0, 1.0)
+    contract = B.homogeneous_contract(td, n, kind, var0)
+    cut = B.homogeneous_type_cut(contract, u01, var0, kind)
+    star = B._participation_threshold(contract, u01, var0, kind)
+    assert cut >= star
+    gen = np.random.default_rng(3)
+    centre = min(cut, 1.0)
+    band = np.concatenate([
+        gen.uniform(max(centre - 0.05, 1e-12), min(centre + 0.05, 1.0), 6000),
+        centre * (1.0 + gen.uniform(-1e-6, 1e-6, 2000)),
+        star * (1.0 + gen.uniform(-1e-9, 1e-9, 2000)),
+        gen.uniform(1e-12, 1.0, 2000), [star, centre]])
+    band = np.clip(band, 1e-12, 1.0)
+    types = band[:band.size - band.size % n].reshape(-1, n)
+    scen = Scenario(prior=GaussianPrior(0.0, var0), type_dist=u01,
+                    n_agents=n, cost_model=linear_cost() if kind == LINEAR
+                    else quadratic_cost())
+    cell = engine._Cell(scen, engine.homogeneous_spec(td), 0,
+                        engine.EngineSettings(), (contract, True, None, cut))
+    _, efforts, take = engine._designate_homogeneous(cell, types, 0)
+    want_q, want_take = _full_response(types, contract, kind, var0)
+    assert np.array_equal(efforts, want_q)
+    assert np.array_equal(take, want_take)
+    assert not np.any(want_take & (types > cut))
+
+
+def test_cut_is_finite_where_the_sweep_needs_it():
+    # the headline contracts (var0 = 1) all admit a cut inside the type range
+    u01 = CostTypeDistribution.uniform(0.0, 1.0)
+    for kind in (LINEAR, QUADRATIC):
+        for td in (0.2, 0.5, 0.8):
+            for n in (3, 19):
+                c = B.homogeneous_contract(td, n, kind, 1.0)
+                assert B.homogeneous_type_cut(c, u01, 1.0, kind) < 1.0
+
+
+def _designate_full(cell, types, t0):
+    """The engine's designate step with every type evaluated."""
+    contract, posted, _, _ = cell.state
+    nan = np.full_like(types, np.nan)
+    if not posted:
+        return nan, np.zeros_like(types), np.zeros(types.shape, dtype=bool)
+    q, take = _full_response(types, contract, cell.scenario.cost_kind,
+                             cell.scenario.prior.var0)
+    return nan, q, take
+
+
+def _settle_full(cell, x, obs, est, efforts, take):
+    """The principal's side computed on every trial, participants or not."""
+    prior = cell.scenario.prior
+    contract, posted, n_den, _ = cell.state
+    reports = np.where(take, est, np.nan)
+    if not posted:
+        return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
+            np.full(x.size, prior.var0), reports
+    var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
+    prediction = B.homogeneous_predict(contract, reports, prior, n_den)
+    payments = np.where(
+        take, contract.alpha - contract.beta * (x[:, None] - reports) ** 2, 0.0)
+    m = take.sum(axis=1)
+    den = prec + (m if n_den is None else n_den) * q_dag
+    b = np.where(take, efforts / (prec + efforts), 0.0)
+    w = np.where(take, efforts / (prec + efforts) ** 2, 0.0)
+    c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
+    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
+        + c_m ** 2 * w.sum(axis=1)
+    return prediction, payments, expected_sq, reports
+
+
+@pytest.mark.parametrize("denominator", ["participants", "full-n"])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_posted_cells_match_full_evaluation(kind, denominator, monkeypatch):
+    # every per-trial metric and record array of the posted-contract cells
+    # equals the all-agents, all-trials evaluation bit for bit
+    mechs = [engine.homogeneous_spec(td) for td in (0.2, 0.5, 0.8)]
+    settings = engine.EngineSettings(chunk_size=1000,
+                                     hom_denominator=denominator)
+    cut_steps = engine._STEPS["homogeneous"]
+    seen = set()
+    for var0 in (0.25, 1.0, 4.0):
+        for n in (1, 3, 19):
+            scen = Scenario(prior=GaussianPrior(0.3, var0),
+                            type_dist=CostTypeDistribution.uniform(0.0, 1.0),
+                            n_agents=n, cost_model=linear_cost()
+                            if kind == LINEAR else quadratic_cost())
+            for mech in mechs:
+                _, posted, _, cut = engine._cell_state(scen, mech, settings)
+                seen.add("posted" if posted else "opted out")
+                if posted and cut < 1.0:
+                    seen.add("cut")
+            runs = []
+            for steps in (cut_steps, (_designate_full, _settle_full)):
+                monkeypatch.setitem(engine._STEPS, "homogeneous", steps)
+                runs.append(list(engine._chunks(scen, mechs, 5, 0, 2500,
+                                                settings)))
+            for (i, got_m, got_r), (j, want_m, want_r) in zip(*runs):
+                assert i == j
+                for k in engine.METRICS:
+                    assert np.array_equal(got_m[k], want_m[k]), (var0, n, k)
+                for k in got_r:
+                    assert np.array_equal(got_r[k], want_r[k],
+                                          equal_nan=True), (var0, n, k)
+    assert seen == {"posted", "opted out", "cut"}

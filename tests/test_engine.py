@@ -1,6 +1,7 @@
 """Simulation engine: trial/batch equivalence, determinism across chunking and
 worker counts, per-mechanism structural invariants, and agent modes."""
 
+import math
 import pickle
 
 import numpy as np
@@ -14,7 +15,8 @@ from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
                             EngineSettings, MechanismSpec, homogeneous_spec,
                             normalize_payoff, run_batch, run_experiment,
                             run_trial)
-from copesim.model import CostTypeDistribution, GaussianPrior, Scenario
+from copesim.model import (NO_OBSERVATION, CostTypeDistribution,
+                           GaussianPrior, Scenario)
 
 TRIAL_METRICS = ("principal_payoff", "network_profit", "bayes_network_profit",
                  "prediction_sq_error", "expected_sq_error")
@@ -49,6 +51,50 @@ def test_batch_rerun_and_chunking_are_bitwise_stable(make_scenario):
                   settings=EngineSettings(chunk_size=200))
     for k in METRICS:
         assert np.array_equal(a[k], b[k]), k
+
+
+def test_statistics_do_not_depend_on_the_chunk_size(make_scenario):
+    # the moments merge fixed 4 096-trial blocks aligned to trial 0, so a
+    # chunk size that does not divide 4 096 reduces the same blocks
+    scen = make_scenario(LINEAR, 3)
+    args = (scen.prior, scen.type_dist, scen.cost_model, [3, 7],
+            [COPE_LINEAR, CENTRALIZED, homogeneous_spec(0.5)])
+    runs = [run_experiment(*args, n_trials=10_000, master_seed=0,
+                           n_workers=1,
+                           settings=EngineSettings(chunk_size=size))
+            for size in (4096, 1000, 777)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _observe_where(x, efforts, noise, prior):
+    """Observations and reports as three masked np.where passes; the oracle
+    for the engine's dense form."""
+    active = efforts > 0
+    safe_q = np.where(active, efforts, 1.0)
+    obs = np.where(active, x[..., None] + noise / np.sqrt(safe_q),
+                   NO_OBSERVATION)
+    reports = np.where(active, agents.truthful_report_obs(obs, efforts, prior),
+                       prior.mu0)
+    return obs, reports
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, math.inf])
+@pytest.mark.parametrize("mask", ["all", "winner", "almost none", "half"])
+def test_observe_matches_the_masked_formula(mask, var0):
+    gen = np.random.default_rng(4)
+    T, N = 600, 19
+    x = gen.normal(size=T)
+    noise = gen.normal(size=(T, N))
+    active = {"all": np.ones((T, N), dtype=bool),
+              "winner": np.arange(N) == gen.integers(0, N, T)[:, None],
+              "almost none": gen.random((T, N)) < 2e-3,
+              "half": gen.random((T, N)) < 0.5}[mask]
+    efforts = np.where(active, gen.uniform(1e-3, 3.0, (T, N)), 0.0)
+    efforts[0, 0] = 1e12
+    prior = GaussianPrior(0.4, var0)
+    for got, want in zip(engine._observe(x, efforts, noise, prior),
+                         _observe_where(x, efforts, noise, prior)):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_cope_linear_winner_take_all(make_scenario):
