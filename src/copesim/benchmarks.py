@@ -36,22 +36,34 @@ def centralized_efforts(theta, cost_kind: str, var0: float) -> np.ndarray:
     spreads it through the same cubic as the mechanism but with raw instead
     of virtual costs.  Vectorized over the leading dimensions of a (..., N)
     type array."""
+    theta = _positive_types(theta)
+    if cost_kind == LINEAR:
+        winner, q = centralized_winner(theta, var0)
+        efforts = np.zeros_like(theta)
+        np.put_along_axis(efforts, winner[..., None], q[..., None], axis=-1)
+        return efforts
+    if cost_kind == QUADRATIC:
+        W = mechanism.cubic_root(1.0 / var0, np.sum(1.0 / theta, axis=-1,
+                                                    keepdims=True))
+        return 1.0 / (theta * W * W)
+    raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
+
+
+def centralized_winner(theta, var0: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear-cost first best of a (..., N) type array as (winner,
+    effort): the cheapest agent, the lowest index on ties, exerts
+    max(theta^-1/2 - 1/var0, 0) and every other agent nothing."""
+    theta = _positive_types(theta)
+    winner = np.argmin(theta, axis=-1)
+    th_w = np.take_along_axis(theta, winner[..., None], axis=-1)[..., 0]
+    return winner, np.maximum(th_w ** -0.5 - 1.0 / var0, 0.0)
+
+
+def _positive_types(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise ValueError("cost types must be positive")
-    prec = 1.0 / var0
-    if cost_kind == LINEAR:
-        winner = np.argmin(theta, axis=-1)[..., None]
-        th_w = np.take_along_axis(theta, winner, axis=-1)
-        efforts = np.zeros_like(theta)
-        np.put_along_axis(efforts, winner, np.maximum(th_w ** -0.5 - prec, 0.0),
-                          axis=-1)
-        return efforts
-    if cost_kind == QUADRATIC:
-        W = mechanism.cubic_root(prec, np.sum(1.0 / theta, axis=-1,
-                                              keepdims=True))
-        return 1.0 / (theta * W * W)
-    raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
+    return theta
 
 
 # -- homogeneous contract ------------------------------------------------------
@@ -189,31 +201,15 @@ def homogeneous_settle_batch(contract: HomogeneousContract, x, reports,
                              efforts, take, prior: GaussianPrior,
                              n_denominator: Optional[int] = None
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The principal's side of the posted contract for a (T, N) chunk of
-    trials with latent states x (T,): (prediction, payments, expected
-    squared error).  take marks the participants, whose reports count; each
-    is paid alpha - beta (x - report)^2.  The expected squared error is
-    exact given the trial's efforts and participation: the mis-specified
-    aggregate is linear in the latent state and the noises, each report
-    weighted by c_m.  A trial without a participant predicts mu0, pays
-    nothing and errs by var0 under either denominator, so only trials with
-    a participant are computed."""
-    rows = take.any(axis=1)
-    if rows.all():
-        return _settle_rows(contract, x, reports, efforts, take, prior,
-                            n_denominator)
-    prediction = np.full(x.size, prior.mu0)
-    payments = np.zeros_like(efforts)
-    expected_sq = np.full(x.size, prior.var0)
-    prediction[rows], payments[rows], expected_sq[rows] = _settle_rows(
-        contract, x[rows], reports[rows], efforts[rows], take[rows], prior,
-        n_denominator)
-    return prediction, payments, expected_sq
-
-
-def _settle_rows(contract: HomogeneousContract, x, reports, efforts, take,
-                 prior: GaussianPrior, n_denominator: Optional[int]):
-    """homogeneous_settle_batch on trials that each have a participant."""
+    """The principal's side of the posted contract for a (T, N) block of
+    trials with latent states x (T,), each trial with a participant:
+    (prediction, payments, expected squared error).  take marks the
+    participants, whose reports count; each is paid alpha - beta (x -
+    report)^2.  The expected squared error is exact given the trial's
+    efforts and participation: the mis-specified aggregate is linear in the
+    latent state and the noises, each report weighted by c_m.  A trial
+    without a participant predicts mu0, pays nothing and errs by var0 under
+    either denominator; the caller fills those trials."""
     var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
     m = take.sum(axis=1)
     prediction = _predict_filed(contract, reports, take, m, prior,

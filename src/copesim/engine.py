@@ -10,14 +10,23 @@ by (master seed, N, purpose), so trial t is the same no matter how work is
 chunked or parallelized.  Each chunk of one N is drawn once and every
 mechanism at that N runs on that draw, so the mechanisms share their world
 draws trial by trial (common random numbers).  Posted-contract cells
-evaluate best responses only at types at or below the cell's cut and settle
-only the trials with a participant.  Statistics merge fixed 4 096-trial
-blocks, so they do not depend on the chunk size either.
+evaluate best responses only at types at or below the cell's cut.
+
+Every stage after designate (observe, settle, metrics) works on the chunk's
+engaged agents, those that exert effort or file a report: the recruited
+winner under cope-linear and the linear planner, the takers of a posted
+contract, every agent otherwise.  Per-trial totals equal the (T, N) row
+sums bit for bit: a trial with one engaged agent takes its value, trials
+with more take numpy's row sum over a dense block of those trials.  Only
+run_trial builds the dense per-agent record.  Statistics merge fixed
+4 096-trial blocks of all metrics at once, so they do not depend on the
+chunk size either.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +40,7 @@ import numpy as np
 from . import agents, benchmarks, mechanism, rng
 from .costs import LINEAR, QUADRATIC, cost
 from .model import (NO_OBSERVATION, CostTypeDistribution, GaussianPrior,
-                    Scenario, TYPE_CLAMP, principal_bayes_risk)
+                    Scenario, TYPE_CLAMP)
 
 TRUTHFUL = "truthful"
 BEST_RESPONSE = "best-response"
@@ -162,18 +171,100 @@ def _draw_chunk(scenario: Scenario, seed: int, t0: int, t1: int,
     return x, types, noise
 
 
+class _Engaged:
+    """The engaged agents of a (T, N) chunk: those that exert effort or file
+    a report.  flat holds their sorted flat indices into the chunk, or is
+    None when every agent is engaged.  The stages after designate hold one
+    entry per engaged agent, or the (T, N) arrays themselves when every
+    agent is engaged, and reduce them to per-trial totals that equal the
+    (T, N) row sums with zeros elsewhere bit for bit."""
+
+    def __init__(self, shape: Tuple[int, int], flat: Optional[np.ndarray]):
+        self.shape = shape
+        self.flat = flat
+        if flat is not None:
+            # 32-bit rows and columns where they fit: a posted contract
+            # can engage most of the chunk
+            small = shape[0] * shape[1] <= np.iinfo(np.int32).max
+            self._index = np.int32 if small else np.intp
+            self.rows, self.cols = np.divmod(flat.astype(self._index),
+                                             self._index(shape[1]))
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """The engaged entries of a (T, N) array."""
+        return a if self.flat is None else a.reshape(-1)[self.flat]
+
+    def at_trial(self, v: np.ndarray) -> np.ndarray:
+        """A per-trial (T,) array, aligned with the engaged entries."""
+        return v[:, None] if self.flat is None else v[self.rows]
+
+    @functools.cached_property
+    def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The trials with an engaged agent, in order, each engaged entry's
+        index into them and each trial's engaged count, read off the
+        sorted rows."""
+        start = np.empty(self.rows.size, dtype=bool)
+        start[:1] = True
+        np.not_equal(self.rows[1:], self.rows[:-1], out=start[1:])
+        size = np.diff(np.append(np.flatnonzero(start), start.size))
+        return self.rows[start], np.cumsum(start, dtype=self._index) - 1, size
+
+    @functools.cached_property
+    def _split(self):
+        """The entries alone in their trial, and the dense-block layout of
+        the rest: their block rows and columns and the block's trials."""
+        trials, run, size = self.runs
+        crowded = size > 1
+        alone = ~crowded[run]
+        block_row = (np.cumsum(crowded, dtype=self._index) - 1)[run[~alone]]
+        return alone, self.rows[alone], block_row, self.cols[~alone], \
+            trials[crowded]
+
+    def totals(self, v: np.ndarray) -> np.ndarray:
+        """Per-trial sums of the engaged values v.  A trial with one engaged
+        agent takes its value; trials with more take numpy's row sum over a
+        dense block of those trials, which keeps the association of the
+        (T, N) row sum."""
+        if self.flat is None:
+            return v.sum(axis=1)
+        alone, alone_rows, block_row, block_col, block_trials = self._split
+        out = np.zeros(self.shape[0])
+        out[alone_rows] = v[alone]
+        if block_trials.size:
+            block = np.zeros((block_trials.size, self.shape[1]))
+            block[block_row, block_col] = v[~alone]
+            out[block_trials] = block.sum(axis=1)
+        return out
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        """Per-trial count of the engaged entries where mask holds."""
+        if self.flat is None:
+            return mask.sum(axis=1).astype(float)
+        return np.bincount(self.rows[mask],
+                           minlength=self.shape[0]).astype(float)
+
+    def dense(self, v, fill) -> np.ndarray:
+        """A (T, N) array holding v at the engaged entries, fill elsewhere."""
+        if self.flat is None:
+            return v
+        out = np.full(self.shape, fill)
+        out.reshape(-1)[self.flat] = v
+        return out
+
+
 def _observe(x: np.ndarray, efforts: np.ndarray, noise: np.ndarray,
              prior: GaussianPrior):
-    """Observations and truthful (posterior-mean) estimate reports; agents
-    with zero effort observe nothing and report the prior mean.  Both are
-    formed densely (agents.truthful_report_obs's shrinkage, exact for
+    """Observations and truthful (posterior-mean) estimate reports of the
+    engaged agents, with x the latent state of each one's trial; agents with
+    zero effort observe nothing and report the prior mean.  Both are formed
+    for every entry (agents.truthful_report_obs's shrinkage, exact for
     positive effort) and the idle entries overwritten afterwards."""
     prec = prior.precision
     with np.errstate(divide="ignore", invalid="ignore"):
         # x + noise/sqrt(q) and (mu0 prec + obs q)/(prec + q), in place
         obs = np.sqrt(efforts)
         np.divide(noise, obs, out=obs)
-        obs += x[..., None]
+        obs += x
         reports = obs * efforts
         reports += prior.mu0 * prec
         reports /= prec + efforts
@@ -183,33 +274,41 @@ def _observe(x: np.ndarray, efforts: np.ndarray, noise: np.ndarray,
     return obs, reports
 
 
-def _finish_metrics(scenario: Scenario, x, types, efforts, prediction,
-                    payments, expected_sq):
+def _finish_metrics(scenario: Scenario, x, eng: _Engaged, types, efforts,
+                    prediction, payments, expected_sq) -> np.ndarray:
+    """The METRICS rows of a (len(METRICS), T) array; types, efforts and
+    payments are the engaged agents'.  expected_sq None is the principal's
+    Bayes risk at the efforts."""
     prior = scenario.prior
     err = (x - prediction) ** 2
-    total_pay = payments.sum(axis=1)
-    total_cost = cost(scenario.cost_model, efforts, types).sum(axis=1)
-    risk = principal_bayes_risk(prior, efforts)
-    return {
+    total_pay = eng.totals(payments)
+    total_cost = eng.totals(cost(scenario.cost_model, efforts, types))
+    risk = 1.0 / (prior.precision + eng.totals(efforts))
+    metrics = {
         "principal_payoff": -err - total_pay,
         "network_profit": -err - total_cost,
         "bayes_network_profit": -risk - total_cost,
         "prediction_sq_error": err,
-        "expected_sq_error": expected_sq,
+        "expected_sq_error": risk if expected_sq is None else expected_sq,
         "total_payment": total_pay,
         "total_cost": total_cost,
-        "positive_effort_count": (efforts > 0).sum(axis=1).astype(float),
+        "positive_effort_count": eng.count(efforts > 0),
     }
+    return np.stack([metrics[k] for k in METRICS])
 
 
 # -- mechanisms: designate and settle steps ------------------------------------
 #
-# designate(cell, types, t0) -> (reported types, efforts, terms) and
-# settle(cell, x, obs, est, efforts, terms) -> (prediction, payments,
-# expected squared error, reports shown in the record).  The COPE steps
-# designate from the reported types; their terms are the transfer components
-# and designated efforts (pi, K, S, q), under linear cost the winners' pi, K
-# and S alone.
+# designate(cell, types, t0) -> (reported types or None, engaged, efforts,
+# terms): engaged holds the sorted flat indices of the agents that exert
+# effort or file a report, or is None for every agent, and efforts and terms
+# are theirs.  settle(cell, x, eng, efforts, obs, est, terms) -> (prediction,
+# payments, expected squared error or None for the Bayes risk, reports shown
+# in the record, the report of an idle agent), on the engaged agents: idle
+# agents report the prior mean under COPE and nothing (NaN) otherwise.  The
+# COPE steps designate from the reported types; their terms are the transfer
+# components and designated efforts (pi, K, S, q).  cope-linear engages the
+# winners with positive effort, the only agents it pays.
 
 def _designate_cope_linear(cell: _Cell, reported, t0):
     dist, tie_break = cell.scenario.type_dist, cell.settings.tie_break
@@ -219,14 +318,16 @@ def _designate_cope_linear(cell: _Cell, reported, t0):
         if tie_break == "seeded-random" else None)
     terms = mechanism.linear_components_batch(
         reported, winner, dist.theta_lo, dist.theta_hi, cell.scenario.prior.var0)
-    return reported, terms[3], terms
+    live = np.flatnonzero(terms[3] > 0.0)
+    pi, K, S, q = (t[live] for t in terms)
+    return reported, live * n + winner[live], q, (pi, K, S, q)
 
 
 def _designate_cope_quadratic(cell: _Cell, reported, t0):
     dist = cell.scenario.type_dist
     terms = mechanism.quadratic_components_batch(
         reported, dist.theta_lo, dist.theta_hi, cell.scenario.prior.var0)
-    return reported, terms[3], terms
+    return reported, None, terms[3], terms
 
 
 def _designate_cope_general(cell: _Cell, reported, t0):
@@ -243,87 +344,103 @@ def _designate_cope_general(cell: _Cell, reported, t0):
                 f"trial {t0 + t} (seed {cell.seed}, N {scenario.n_agents}): "
                 f"{exc}", exc.diagnostics)
         pi[t], K[t], S[t], q[t] = rule.pi, rule.K, rule.S, rule.efforts
-    return reported, q, (pi, K, S, q)
+    return reported, None, q, (pi, K, S, q)
 
 
 def _best_response(cell: _Cell, types, t0, designate):
     """Best-response agents: each reports the oracle's best response to
     truthful rivals, then exerts its best-response effort to the transfers
     those reports set.  designate is the mechanism's own step; the principal
-    still settles on the efforts it designates."""
+    still settles on the efforts it designates.  Every agent is engaged, and
+    the terms are spread over all of them."""
     scenario, settings = cell.scenario, cell.settings
     reported = np.array([[agents.best_response_type(
         float(th), scenario, n_grid=settings.br_grid,
         n_mc=settings.br_mc).theta_star
         for th in row] for row in types])
-    _, _, terms = designate(cell, reported, t0)
+    _, flat, _, terms = designate(cell, reported, t0)
+    designated = _Engaged(types.shape, flat)
     efforts = np.array([[agents.best_response_effort(
         float(th), scenario, theta_hat=float(rep[i]),
         theta_rest=np.delete(rep, i)) for i, th in enumerate(row)]
         for row, rep in zip(types, reported)])
-    return reported, efforts, terms
+    return reported, None, efforts, tuple(designated.dense(t, 0.0)
+                                          for t in terms)
 
 
-def _settle_cope(cell: _Cell, x, obs, est, efforts, terms):
+def _settle_cope(cell: _Cell, x, eng, efforts, obs, est, terms):
     pi, K, S, q = terms
     prior = cell.scenario.prior
+    payments = pi - K * (eng.at_trial(x) - est) ** 2 + S
     if cell.mech.kind == "cope-linear":
         # only the winner is paid, and its report already is the posterior
-        # mean; pi, K and S are the winners' (0 where nobody is recruited)
-        rows, winner = np.arange(x.size), np.argmax(q, axis=1)
-        y = est[rows, winner]
-        prediction = np.where(q[rows, winner] > 0.0, y, prior.mu0)
-        payments = np.zeros_like(est)
-        payments[rows, winner] = pi - K * (x - y) ** 2 + S
+        # mean; every other agent's pi, K and S are 0
+        paid = q > 0.0
+        prediction = np.full(x.size, prior.mu0)
+        prediction[np.nonzero(paid)[0] if eng.flat is None
+                   else eng.rows[paid]] = est[paid]
     else:
         prediction = mechanism.predict_batch(prior, est, q)
-        payments = pi - K * (x[:, None] - est) ** 2 + S
-    return prediction, payments, principal_bayes_risk(prior, efforts), est
+    return prediction, payments, None, est, prior.mu0
 
 
 def _designate_centralized(cell: _Cell, types, t0):
-    """The planner knows the types and assigns the first-best efforts."""
-    efforts = benchmarks.centralized_efforts(
-        types, cell.scenario.cost_kind, cell.scenario.prior.var0)
-    return np.full_like(types, np.nan), efforts, None
+    """The planner knows the types and assigns the first-best efforts; under
+    linear cost only the cheapest agent works."""
+    kind, var0 = cell.scenario.cost_kind, cell.scenario.prior.var0
+    if kind == LINEAR:
+        winner, q = benchmarks.centralized_winner(types, var0)
+        live = np.flatnonzero(q > 0.0)
+        return None, live * types.shape[1] + winner[live], q[live], None
+    return None, None, benchmarks.centralized_efforts(types, kind, var0), None
 
 
-def _settle_centralized(cell: _Cell, x, obs, est, efforts, terms):
+def _settle_centralized(cell: _Cell, x, eng, efforts, obs, est, terms):
     """The integrated planner reads the raw observations and pays nothing."""
     prior = cell.scenario.prior
-    num = prior.mu0 * prior.precision + np.where(efforts > 0, obs * efforts,
-                                                 0.0).sum(axis=1)
-    den = prior.precision + efforts.sum(axis=1)
-    return num / den, np.zeros_like(efforts), 1.0 / den, obs
+    num = prior.mu0 * prior.precision + eng.totals(
+        np.where(efforts > 0, obs * efforts, 0.0))
+    den = prior.precision + eng.totals(efforts)
+    return num / den, np.zeros_like(efforts), 1.0 / den, obs, NO_OBSERVATION
 
 
 def _designate_homogeneous(cell: _Cell, types, t0):
-    """Agents who take the posted contract best-respond to its reward; terms
-    are who takes it.  Responses are evaluated only at types at or below the
-    cell's cut, above which nobody takes the contract."""
+    """Agents who take the posted contract best-respond to its reward; they
+    are the engaged agents, a taker at zero effort included.  Responses are
+    evaluated only at types at or below the cell's cut, above which nobody
+    takes the contract."""
     contract, posted, _, cut = cell.state
-    efforts = np.zeros_like(types)
-    take = np.zeros(types.shape, dtype=bool)
-    if posted:
-        low = types <= cut
-        q_low, take_low = benchmarks.homogeneous_response_batch(
-            types[low], contract, cell.scenario.cost_kind,
-            cell.scenario.prior.var0)
-        efforts[low] = np.where(take_low, q_low, 0.0)
-        take[low] = take_low
-    return np.full_like(types, np.nan), efforts, take
-
-
-def _settle_homogeneous(cell: _Cell, x, obs, est, efforts, take):
-    prior = cell.scenario.prior
-    contract, posted, n_den, _ = cell.state
-    reports = np.where(take, est, np.nan)   # only participants file a report
     if not posted:
-        # principal opts out: predict the prior mean, pay nothing
-        return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
-            np.full(x.size, prior.var0), reports
-    return (*benchmarks.homogeneous_settle_batch(
-        contract, x, reports, efforts, take, prior, n_den), reports)
+        return None, np.empty(0, dtype=np.intp), np.empty(0), None
+    low = np.flatnonzero(types <= cut)
+    q, take = benchmarks.homogeneous_response_batch(
+        types.reshape(-1)[low], contract, cell.scenario.cost_kind,
+        cell.scenario.prior.var0)
+    return None, low[take], q[take], None
+
+
+def _settle_homogeneous(cell: _Cell, x, eng, efforts, obs, est, terms):
+    """The posted contract settled on a dense block of the trials with a
+    participant; every other trial (all of them when the principal opts
+    out) predicts the prior mean, pays nothing and errs by var0."""
+    prior = cell.scenario.prior
+    contract, _, n_den, _ = cell.state
+    prediction = np.full(x.size, prior.mu0)
+    expected_sq = np.full(x.size, prior.var0)
+    if not eng.flat.size:
+        return prediction, np.zeros(0), expected_sq, est, np.nan
+    trials, at, col = eng.runs[0], eng.runs[1], eng.cols
+    block = (trials.size, eng.shape[1])
+    take = np.zeros(block, dtype=bool)
+    take[at, col] = True
+    reports = np.full(block, np.nan)   # only participants file a report
+    reports[at, col] = est
+    q = np.zeros(block)
+    q[at, col] = efforts
+    prediction[trials], payments, expected_sq[trials] = \
+        benchmarks.homogeneous_settle_batch(contract, x[trials], reports, q,
+                                            take, prior, n_den)
+    return prediction, payments[at, col], expected_sq, est, np.nan
 
 
 _STEPS = {
@@ -358,35 +475,65 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
     return None
 
 
+@dataclass(frozen=True)
+class _Stages:
+    """One chunk's run of one mechanism as run_trial reads it: the draws,
+    the reported types (None where nobody reports a type) and the engaged
+    agents' arrays.  Idle agents report report_fill."""
+    x: np.ndarray
+    types: np.ndarray
+    reported_types: Optional[np.ndarray]
+    engaged: _Engaged
+    efforts: np.ndarray
+    observations: np.ndarray
+    reports: np.ndarray
+    report_fill: float
+    prediction: np.ndarray
+    payments: np.ndarray
+
+    def record(self) -> Dict[str, np.ndarray]:
+        """The dense (T, N) record arrays of every trial of the chunk."""
+        eng = self.engaged
+        reported = np.full(self.types.shape, np.nan) \
+            if self.reported_types is None else self.reported_types
+        return dict(x=self.x, types=self.types, reported_types=reported,
+                    efforts=eng.dense(self.efforts, 0.0),
+                    observations=eng.dense(self.observations, NO_OBSERVATION),
+                    reports=eng.dense(self.reports, self.report_fill),
+                    prediction=self.prediction,
+                    payments=eng.dense(self.payments, 0.0))
+
+
 def _run_mechanism(cell: _Cell, draws, t0: int, best_response: bool):
-    """One mechanism on one chunk's draws: designate, observe, settle, score.
-    Returns (metrics, record); every other (T, N) array dies on return."""
+    """One mechanism on one chunk's draws: designate, then observe, settle
+    and score the engaged agents only.  Returns (metrics, stages)."""
     scenario = cell.scenario
     x, types, noise = draws
     designate, settle = _STEPS[cell.mech.kind]
-    reported, efforts, terms = (
+    reported, flat, efforts, terms = (
         _best_response(cell, types, t0, designate) if best_response
         else designate(cell, types, t0))
-    obs, est = _observe(x, efforts, noise, scenario.prior)
-    prediction, payments, expected_sq, reports = settle(
-        cell, x, obs, est, efforts, terms)
-    metrics = _finish_metrics(scenario, x, types, efforts, prediction,
-                              payments, expected_sq)
-    return metrics, dict(x=x, types=types, reported_types=reported,
-                         efforts=efforts, observations=obs, reports=reports,
-                         prediction=prediction, payments=payments)
+    eng = _Engaged(types.shape, flat)
+    obs, est = _observe(eng.at_trial(x), efforts, eng.take(noise),
+                        scenario.prior)
+    prediction, payments, expected_sq, reports, fill = settle(
+        cell, x, eng, efforts, obs, est, terms)
+    metrics = _finish_metrics(scenario, x, eng, eng.take(types), efforts,
+                              prediction, payments, expected_sq)
+    return metrics, _Stages(x, types, reported, eng, efforts, obs, reports,
+                            fill, prediction, payments)
 
 
 def _chunks(scenario: Scenario, mechs: Sequence[MechanismSpec], seed: int,
             t_lo: int, t_hi: int, settings: EngineSettings,
             best_response: bool = False
-            ) -> Iterator[Tuple[int, Dict[str, np.ndarray],
-                                Dict[str, np.ndarray]]]:
+            ) -> Iterator[Tuple[int, np.ndarray, _Stages]]:
     """Run trials [t_lo, t_hi) in chunks through the one pipeline.  Each
     chunk is drawn once and every mechanism of mechs runs on that draw, in
-    order.  Yields (index into mechs, metrics, record) per chunk and
-    mechanism; a consumer that drops the record before resuming keeps only
-    one mechanism's (T, N) arrays alive at a time."""
+    order.  Yields (index into mechs, metrics, stages) per chunk and
+    mechanism, with metrics the (len(METRICS), T) rows of _finish_metrics; a
+    consumer that drops the stages before resuming keeps only one
+    mechanism's arrays alive at a time."""
     cells = [_Cell(scenario, mech, seed, settings,
                    _cell_state(scenario, mech, settings)) for mech in mechs]
     for t0 in range(t_lo, t_hi, settings.chunk_size):
@@ -402,7 +549,8 @@ def run_trial(scenario: Scenario, mech: MechanismSpec, agent_mode: str,
               seed: int, trial_index: int = 0,
               settings: EngineSettings = EngineSettings()) -> TrialRecord:
     """One fully-resolved trial; trial_index addresses the same draws the
-    batched runner would use, so a record here equals the batch row.
+    batched runner would use, so a record here equals the batch row.  Only
+    this entry point builds the dense per-agent record.
 
     In best-response mode COPE agents pick their reports and efforts with the
     numeric oracles (slow, verification only).  The planner has no strategic
@@ -415,11 +563,12 @@ def run_trial(scenario: Scenario, mech: MechanismSpec, agent_mode: str,
     if best_response and mech.kind == "cope-general":
         raise ValueError("best-response mode needs the closed-form payment "
                          "path; cope-general is not supported")
-    _, metrics, rec = next(_chunks(scenario, [mech], seed, trial_index,
-                                   trial_index + 1, settings, best_response))
-    fields = {k: v[0] for k, v in rec.items()}
+    _, metrics, stages = next(_chunks(scenario, [mech], seed, trial_index,
+                                      trial_index + 1, settings,
+                                      best_response))
+    fields = {k: v[0] for k, v in stages.record().items()}
     fields.update({k: float(fields[k]) for k in ("x", "prediction")})
-    fields.update({k: float(metrics[k][0]) for k in METRICS
+    fields.update({k: float(row[0]) for k, row in zip(METRICS, metrics)
                    if k in TrialRecord.__annotations__})
     return TrialRecord(**fields)
 
@@ -430,9 +579,9 @@ def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
     """Per-trial metric arrays for n_trials truthful trials (chunked
     internally; concatenated output)."""
     check_pairing(scenario, mech)
-    parts = [metrics for _, metrics, _ in _chunks(
-        scenario, [mech], seed, 0, n_trials, settings)]
-    return {k: np.concatenate([p[k] for p in parts]) for k in METRICS}
+    rows = np.concatenate([metrics for _, metrics, _ in _chunks(
+        scenario, [mech], seed, 0, n_trials, settings)], axis=1)
+    return dict(zip(METRICS, rows))
 
 
 #: trials per moment block: statistics merge fixed blocks aligned to trial 0,
@@ -442,53 +591,65 @@ _MOMENT_BLOCK = 4096
 
 class _Moments:
     """Streaming mean/variance (Welford, merged over _MOMENT_BLOCK-trial
-    blocks) plus min/max.  add() takes consecutive trials in any lengths and
-    holds a partial block until it fills or stat() is called."""
+    blocks) plus min/max of every metric at once, one per row of the
+    (len(METRICS), T) arrays add() takes.  add() takes consecutive trials in
+    any lengths and holds a partial block until it fills or stats() is
+    called.  A row reduce of a C-contiguous block sums like the 1-D reduce
+    of that row, so each metric's moments do not depend on the stacking."""
 
     def __init__(self):
+        k = len(METRICS)
         self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.mn = np.inf
-        self.mx = -np.inf
+        self.mean = np.zeros(k)
+        self.m2 = np.zeros(k)
+        self.mn = np.full(k, np.inf)
+        self.mx = np.full(k, -np.inf)
         self._pending: List[np.ndarray] = []
         self._n_pending = 0
 
     def add(self, v: np.ndarray) -> None:
         self._pending.append(v)
-        self._n_pending += v.size
+        self._n_pending += v.shape[1]
         if self._n_pending < _MOMENT_BLOCK:
             return
         buf = self._pending[0] if len(self._pending) == 1 \
-            else np.concatenate(self._pending)
-        n_full = buf.size - buf.size % _MOMENT_BLOCK
+            else np.concatenate(self._pending, axis=1)
+        size = buf.shape[1]
+        n_full = size - size % _MOMENT_BLOCK
         for b0 in range(0, n_full, _MOMENT_BLOCK):
-            self.update(buf[b0:b0 + _MOMENT_BLOCK])
-        self._pending = [buf[n_full:]] if n_full < buf.size else []
-        self._n_pending = buf.size - n_full
+            self.update(buf[:, b0:b0 + _MOMENT_BLOCK])
+        self._pending = [buf[:, n_full:]] if n_full < size else []
+        self._n_pending = size - n_full
 
     def update(self, v: np.ndarray) -> None:
-        nb = v.size
-        mb = float(v.mean())
-        m2b = float(((v - mb) ** 2).sum())
+        v = np.ascontiguousarray(v)
+        nb = v.shape[1]
+        mb = v.mean(axis=1)
+        dev = v - mb[:, None]
+        dev *= dev
+        m2b = dev.sum(axis=1)
         n = self.n + nb
         delta = mb - self.mean
         self.m2 += m2b + delta * delta * self.n * nb / n
         self.mean += delta * nb / n
         self.n = n
-        self.mn = min(self.mn, float(v.min()))
-        self.mx = max(self.mx, float(v.max()))
+        # a NaN block leaves min and max as they were
+        low, high = v.min(axis=1), v.max(axis=1)
+        self.mn = np.where(low < self.mn, low, self.mn)
+        self.mx = np.where(high > self.mx, high, self.mx)
 
-    def stat(self) -> MetricStat:
+    def stats(self) -> Dict[str, MetricStat]:
         if self._n_pending:
-            self.update(np.concatenate(self._pending))
+            self.update(np.concatenate(self._pending, axis=1))
             self._pending, self._n_pending = [], 0
         if self.n > 1:
-            se = float(np.sqrt(self.m2 / (self.n - 1) / self.n))
+            se = np.sqrt(self.m2 / (self.n - 1) / self.n)
         else:
-            se = 0.0
-        return MetricStat(mean=self.mean, se=se, minimum=self.mn,
-                          maximum=self.mx)
+            se = np.zeros(len(METRICS))
+        return {k: MetricStat(mean=float(self.mean[i]), se=float(se[i]),
+                              minimum=float(self.mn[i]),
+                              maximum=float(self.mx[i]))
+                for i, k in enumerate(METRICS)}
 
 
 def _run_cells(scenario: Scenario, mechs: Sequence[MechanismSpec],
@@ -496,17 +657,16 @@ def _run_cells(scenario: Scenario, mechs: Sequence[MechanismSpec],
                ) -> List[ExperimentResult]:
     """The sweep cells of one N, in mechs order: each chunk is drawn once and
     every mechanism's trials are reduced to its own metric moments."""
-    acc = [{k: _Moments() for k in METRICS} for _ in mechs]
-    for i, metrics, rec in _chunks(scenario, mechs, seed, 0, n_trials,
-                                   settings):
-        for k in METRICS:
-            acc[i][k].add(metrics[k])
+    acc = [_Moments() for _ in mechs]
+    for i, metrics, stages in _chunks(scenario, mechs, seed, 0, n_trials,
+                                      settings):
+        acc[i].add(metrics)
         # free this mechanism's (T, N) arrays before the next one designates
-        del metrics, rec
+        del stages
     return [ExperimentResult(
         mechanism=mech.kind, cost=scenario.cost_kind,
         n_agents=scenario.n_agents, theta_dagger=mech.theta_dagger,
-        n_trials=n_trials, stats={k: a[k].stat() for k in METRICS})
+        n_trials=n_trials, stats=a.stats())
         for mech, a in zip(mechs, acc)]
 
 

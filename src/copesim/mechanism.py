@@ -225,19 +225,16 @@ def linear_components_batch(theta_hat: np.ndarray, winner: np.ndarray,
                             theta_lo: float, theta_hi: float, var0: float
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For a (T, N) report array with winner[t] the recruited agent of row t:
-    the winners' (pi, K, S), each of shape (T,) and 0 where the designated
-    effort is 0, and every agent's designated effort.  Only the winner is
-    paid, and its rent tail runs up to the second-lowest report.  Fast path
-    used by the simulation engine."""
+    the winners' (pi, K, S, q), each of shape (T,) and 0 where the
+    designated effort q is 0.  Every other agent's effort is 0.  Only the
+    winner is paid, and its rent tail runs up to the second-lowest report.
+    Fast path used by the simulation engine."""
     T, n = theta_hat.shape
-    rows = np.arange(T)
     second = np.partition(theta_hat, 1, axis=1)[:, 1] if n > 1 else \
         np.full(T, np.inf)
-    pi, K, S, q_w = linear_winner_components(
-        theta_hat[rows, winner], np.minimum(theta_hi, second), theta_lo, var0)
-    q = np.zeros_like(theta_hat)
-    q[rows, winner] = q_w
-    return pi, K, S, q
+    return linear_winner_components(
+        theta_hat[np.arange(T), winner], np.minimum(theta_hi, second),
+        theta_lo, var0)
 
 
 def payment_rule_linear(theta_hat, theta_lo: float, theta_hi: float,
@@ -248,11 +245,11 @@ def payment_rule_linear(theta_hat, theta_lo: float, theta_hi: float,
     theta_hat = np.asarray(theta_hat, dtype=float)
     _virtual_costs(theta_hat, theta_lo)       # every virtual cost positive
     winner = theta_hat.argmin()
-    *terms, q = linear_components_batch(theta_hat[None], np.array([winner]),
-                                        theta_lo, theta_hi, var0)
-    pi, K, S = (np.where(np.arange(theta_hat.size) == winner, t, 0.0)
-                for t in terms)
-    return PaymentRule(pi=pi, K=K, S=S, efforts=q[0])
+    terms = linear_components_batch(theta_hat[None], np.array([winner]),
+                                    theta_lo, theta_hi, var0)
+    pi, K, S, q = (np.where(np.arange(theta_hat.size) == winner, t, 0.0)
+                   for t in terms)
+    return PaymentRule(pi=pi, K=K, S=S, efforts=q)
 
 
 def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
@@ -387,9 +384,12 @@ def _efforts_at_price(vm: Callable, lam: float, cap: float,
     where it lies inside the bracket, from the false-position point
     otherwise, and bisect where a step would leave the bracket.
 
-    Returns (q, dq_dlam, evals): q_i = inf where vm(cap, i) < lam;
-    dq_dlam_i = 1/vm'(q_i) for interior efforts (0 at the bracket ends or
-    where the slope is not positive); evals counts vm calls.
+    Returns (q, dq_dlam, evals): q_i = inf where vm(cap, i) < lam; evals
+    counts vm calls.  dq_dlam_i is 1/d for the forward-difference slope d of
+    vm at the last iterate, from which the final step (Newton, or to the
+    upper end of a collapsed bracket) is taken; so it is not 1/vm'(q_i) at
+    the returned effort.  It is 0 where the bracket ends settle the agent,
+    where the iteration cap ends the search or where d is not positive.
     """
     n = q_start.size
     every = np.arange(n)

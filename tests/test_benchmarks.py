@@ -325,7 +325,9 @@ def test_cut_designate_matches_full_response(kind, td, var0, n):
                     else quadratic_cost())
     cell = engine._Cell(scen, engine.homogeneous_spec(td), 0,
                         engine.EngineSettings(), (contract, True, None, cut))
-    _, efforts, take = engine._designate_homogeneous(cell, types, 0)
+    _, flat, q, _ = engine._designate_homogeneous(cell, types, 0)
+    engaged = engine._Engaged(types.shape, flat)
+    efforts, take = engaged.dense(q, 0.0), engaged.dense(True, False)
     want_q, want_take = _full_response(types, contract, kind, var0)
     assert np.array_equal(efforts, want_q)
     assert np.array_equal(take, want_take)
@@ -343,24 +345,27 @@ def test_cut_is_finite_where_the_sweep_needs_it():
 
 
 def _designate_full(cell, types, t0):
-    """The engine's designate step with every type evaluated."""
+    """The engine's designate step with every type evaluated and every
+    agent engaged; the terms are who takes the contract."""
     contract, posted, _, _ = cell.state
-    nan = np.full_like(types, np.nan)
     if not posted:
-        return nan, np.zeros_like(types), np.zeros(types.shape, dtype=bool)
+        return None, None, np.zeros_like(types), \
+            np.zeros(types.shape, dtype=bool)
     q, take = _full_response(types, contract, cell.scenario.cost_kind,
                              cell.scenario.prior.var0)
-    return nan, q, take
+    return None, None, q, take
 
 
-def _settle_full(cell, x, obs, est, efforts, take):
-    """The principal's side computed on every trial, participants or not."""
+def _settle_full(cell, x, eng, efforts, obs, est, take):
+    """The principal's side computed on every trial, participants or not;
+    every agent is engaged, so the arrays are the (T, N) chunk's; idle
+    agents file no report."""
     prior = cell.scenario.prior
     contract, posted, n_den, _ = cell.state
     reports = np.where(take, est, np.nan)
     if not posted:
         return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
-            np.full(x.size, prior.var0), reports
+            np.full(x.size, prior.var0), reports, np.nan
     var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
     prediction = B.homogeneous_predict(contract, reports, prior, n_den)
     payments = np.where(
@@ -372,7 +377,7 @@ def _settle_full(cell, x, obs, est, efforts, take):
     c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
     expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
         + c_m ** 2 * w.sum(axis=1)
-    return prediction, payments, expected_sq, reports
+    return prediction, payments, expected_sq, reports, np.nan
 
 
 @pytest.mark.parametrize("denominator", ["participants", "full-n"])
@@ -401,10 +406,12 @@ def test_posted_cells_match_full_evaluation(kind, denominator, monkeypatch):
                 monkeypatch.setitem(engine._STEPS, "homogeneous", steps)
                 runs.append(list(engine._chunks(scen, mechs, 5, 0, 2500,
                                                 settings)))
-            for (i, got_m, got_r), (j, want_m, want_r) in zip(*runs):
+            for (i, got_m, got_s), (j, want_m, want_s) in zip(*runs):
                 assert i == j
-                for k in engine.METRICS:
-                    assert np.array_equal(got_m[k], want_m[k]), (var0, n, k)
+                for k, got, want in zip(engine.METRICS, got_m, want_m):
+                    assert np.array_equal(got, want), (var0, n, k)
+                got_r, want_r = got_s.record(), want_s.record()
+                assert got_r.keys() == want_r.keys()
                 for k in got_r:
                     assert np.array_equal(got_r[k], want_r[k],
                                           equal_nan=True), (var0, n, k)

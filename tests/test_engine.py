@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from copesim import agents, engine
+from copesim import agents, benchmarks, engine, mechanism, rng
 from copesim.costs import (LINEAR, QUADRATIC, cost, general_cost, linear_cost,
                            quadratic_cost)
 from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
@@ -16,7 +16,7 @@ from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
                             normalize_payoff, run_batch, run_experiment,
                             run_trial)
 from copesim.model import (NO_OBSERVATION, CostTypeDistribution,
-                           GaussianPrior, Scenario)
+                           GaussianPrior, Scenario, principal_bayes_risk)
 
 TRIAL_METRICS = ("principal_payoff", "network_profit", "bayes_network_profit",
                  "prediction_sq_error", "expected_sq_error")
@@ -92,9 +92,320 @@ def test_observe_matches_the_masked_formula(mask, var0):
     efforts = np.where(active, gen.uniform(1e-3, 3.0, (T, N)), 0.0)
     efforts[0, 0] = 1e12
     prior = GaussianPrior(0.4, var0)
-    for got, want in zip(engine._observe(x, efforts, noise, prior),
+    # every agent engaged: the (T, N) chunk, x broadcast over the agents
+    for got, want in zip(engine._observe(x[:, None], efforts, noise, prior),
                          _observe_where(x, efforts, noise, prior)):
         assert np.array_equal(got, want, equal_nan=True)
+    # the engaged entries alone (here the active ones plus every tenth idle
+    # one), each with its trial's latent state
+    flat = np.flatnonzero(active.ravel() | (np.arange(T * N) % 10 == 0))
+    eng = engine._Engaged((T, N), flat)
+    for got, want in zip(engine._observe(eng.at_trial(x), eng.take(efforts),
+                                         eng.take(noise), prior),
+                         _observe_where(x, efforts, noise, prior)):
+        assert np.array_equal(got, eng.take(want), equal_nan=True)
+
+
+# -- the engaged-agent pipeline against the dense one -------------------------
+#
+# The oracle is the dense pipeline the engine ran before it worked on the
+# engaged agents alone: every stage after designate formed (T, N) arrays and
+# reduced them over the agent axis.
+
+def _observe_dense(x, efforts, noise, prior):
+    prec = prior.precision
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obs = np.sqrt(efforts)
+        np.divide(noise, obs, out=obs)
+        obs += x[..., None]
+        reports = obs * efforts
+        reports += prior.mu0 * prec
+        reports /= prec + efforts
+    idle = ~(efforts > 0)
+    obs[idle] = NO_OBSERVATION
+    reports[idle] = prior.mu0
+    return obs, reports
+
+
+def _designate_dense(cell, reported, t0):
+    """Dense efforts and the dense pipeline's terms: the winners' (pi, K, S)
+    and every agent's q under linear cost, who takes a posted contract."""
+    scen, kind = cell.scenario, cell.mech.kind
+    dist, var0 = scen.type_dist, scen.prior.var0
+    T, n = reported.shape
+    if kind == "cope-linear":
+        tie = cell.settings.tie_break
+        winner = mechanism.argmin_winner_batch(
+            reported, tie, rng.uniforms(cell.seed, n, rng.TIEBREAK, T, t0)
+            if tie == "seeded-random" else None)
+        pi, K, S, q_w = mechanism.linear_components_batch(
+            reported, winner, dist.theta_lo, dist.theta_hi, var0)
+        q = np.zeros_like(reported)
+        q[np.arange(T), winner] = q_w
+        return q, (pi, K, S, q)
+    if kind == "cope-quadratic":
+        terms = mechanism.quadratic_components_batch(
+            reported, dist.theta_lo, dist.theta_hi, var0)
+        return terms[3], terms
+    if kind == "cope-general":
+        rules = [mechanism.payment_rule_general(
+            scen.cost_model, cell.state, dist, row, var0) for row in reported]
+        terms = tuple(np.array([getattr(r, k) for r in rules])
+                      for k in ("pi", "K", "S", "efforts"))
+        return terms[3], terms
+    if kind == "centralized":
+        return benchmarks.centralized_efforts(reported, scen.cost_kind,
+                                              var0), None
+    contract, posted, _, _ = cell.state
+    if not posted:
+        return np.zeros_like(reported), np.zeros(reported.shape, dtype=bool)
+    q, take = benchmarks.homogeneous_response_batch(
+        reported, contract, scen.cost_kind, var0)
+    return np.where(take, q, 0.0), take
+
+
+def _settle_dense(cell, x, obs, est, efforts, terms):
+    prior = cell.scenario.prior
+    kind = cell.mech.kind
+    if kind == "cope-linear":
+        pi, K, S, q = terms
+        rows, winner = np.arange(x.size), np.argmax(q, axis=1)
+        y = est[rows, winner]
+        prediction = np.where(q[rows, winner] > 0.0, y, prior.mu0)
+        payments = np.zeros_like(est)
+        payments[rows, winner] = pi - K * (x - y) ** 2 + S
+        return prediction, payments, principal_bayes_risk(prior, efforts), est
+    if kind.startswith("cope"):
+        pi, K, S, q = terms
+        prediction = mechanism.predict_batch(prior, est, q)
+        payments = pi - K * (x[:, None] - est) ** 2 + S
+        return prediction, payments, principal_bayes_risk(prior, efforts), est
+    if kind == "centralized":
+        num = prior.mu0 * prior.precision + np.where(
+            efforts > 0, obs * efforts, 0.0).sum(axis=1)
+        den = prior.precision + efforts.sum(axis=1)
+        return num / den, np.zeros_like(efforts), 1.0 / den, obs
+    contract, posted, n_den, _ = cell.state
+    reports = np.where(terms, est, np.nan)
+    if not posted:
+        return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
+            np.full(x.size, prior.var0), reports
+    # trials without a participant predict mu0, pay nothing and err by var0
+    rows = terms.any(axis=1)
+    prediction = np.full(x.size, prior.mu0)
+    payments = np.zeros_like(efforts)
+    expected_sq = np.full(x.size, prior.var0)
+    prediction[rows], payments[rows], expected_sq[rows] = \
+        benchmarks.homogeneous_settle_batch(contract, x[rows], reports[rows],
+                                            efforts[rows], terms[rows], prior,
+                                            n_den)
+    return prediction, payments, expected_sq, reports
+
+
+def _finish_metrics_dense(scenario, x, types, efforts, prediction, payments,
+                          expected_sq):
+    prior = scenario.prior
+    err = (x - prediction) ** 2
+    total_pay = payments.sum(axis=1)
+    total_cost = cost(scenario.cost_model, efforts, types).sum(axis=1)
+    risk = principal_bayes_risk(prior, efforts)
+    return {
+        "principal_payoff": -err - total_pay,
+        "network_profit": -err - total_cost,
+        "bayes_network_profit": -risk - total_cost,
+        "prediction_sq_error": err,
+        "expected_sq_error": expected_sq,
+        "total_payment": total_pay,
+        "total_cost": total_cost,
+        "positive_effort_count": (efforts > 0).sum(axis=1).astype(float),
+    }
+
+
+def _dense_oracle(cell, draws, t0, reported=None, efforts=None, terms=None):
+    """(metrics, record) of one chunk through the dense pipeline; reported,
+    efforts and terms default to the truthful designation."""
+    x, types, noise = draws
+    cope = cell.mech.kind.startswith("cope")
+    if reported is None:
+        reported = types
+        efforts, terms = _designate_dense(cell, types, t0)
+    obs, est = _observe_dense(x, efforts, noise, cell.scenario.prior)
+    prediction, payments, expected_sq, reports = _settle_dense(
+        cell, x, obs, est, efforts, terms)
+    metrics = _finish_metrics_dense(cell.scenario, x, types, efforts,
+                                    prediction, payments, expected_sq)
+    record = dict(x=x, types=types, reported_types=reported if cope
+                  else np.full_like(types, np.nan), efforts=efforts,
+                  observations=obs, reports=reports, prediction=prediction,
+                  payments=payments)
+    return metrics, record
+
+
+def _assert_same_bits(got, want, what):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want, equal_nan=True), what
+    assert np.all(np.isnan(want) | (np.signbit(got) == np.signbit(want))), what
+
+
+def _oracle_scenario(kind, n, var0=1.0):
+    # a prior mean off 0, so that idle reports and fills are told apart
+    return Scenario(prior=GaussianPrior(0.3, var0),
+                    type_dist=CostTypeDistribution.uniform(0.0, 1.0),
+                    n_agents=n, cost_model=linear_cost() if kind == LINEAR
+                    else quadratic_cost())
+
+
+def _posted(scen, td, settings, cut=None):
+    """The state of a posted-contract cell that posts whatever its expected
+    payoff, with the contract's own cut unless one is given."""
+    kind, var0 = scen.cost_kind, scen.prior.var0
+    contract = benchmarks.homogeneous_contract(td, scen.n_agents, kind, var0)
+    if cut is None:
+        cut = benchmarks.homogeneous_type_cut(contract, scen.type_dist, var0,
+                                              kind)
+    n_den = scen.n_agents if settings.hom_denominator == "full-n" else None
+    return engine._Cell(scen, homogeneous_spec(td), 5, settings,
+                        (contract, True, n_den, cut))
+
+
+def _oracle_cells(scen, settings):
+    """Every mechanism of the scenario's cost family, three posted contracts
+    and, under linear cost, a contract forced to post with no cut: at
+    var0 = 0.25 its zero-effort tail takes it (the principal would opt
+    out).  At var0 = inf the opt-out decision's expected payoff is not
+    finite, so the three contracts are forced to post too."""
+    kind = scen.cost_kind
+    mechs = [COPE_LINEAR if kind == LINEAR else COPE_QUADRATIC, CENTRALIZED]
+    cells = [engine._Cell(scen, mech, 5, settings,
+                          engine._cell_state(scen, mech, settings))
+             for mech in mechs]
+    for td in (0.2, 0.5, 0.8):
+        mech = homogeneous_spec(td)
+        cells.append(_posted(scen, td, settings) if scen.prior.var0 == math.inf
+                     else engine._Cell(scen, mech, 5, settings,
+                                       engine._cell_state(scen, mech,
+                                                          settings)))
+    if kind == LINEAR:
+        cells.append(_posted(scen, 0.001, settings, cut=math.inf))
+    return cells
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0, math.inf])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_engaged_pipeline_matches_dense_oracle(kind, var0):
+    # every metric and record array of every chunk equals the dense
+    # pipeline's bit for bit.  At var0 = inf the latent state is drawn
+    # infinite and the prior has no precision, so both pipelines meet
+    # inf - inf and 1/0 and must give the same NaNs and infinities
+    with np.errstate(**(dict(all="ignore") if var0 == math.inf else {})):
+        seen = _compare_with_dense_oracle(kind, var0)
+    # the quadratic contracts and the linear tail crowd the engaged rows
+    want = set()
+    if kind == QUADRATIC or var0 == 0.25:
+        want.add("three or more engaged")
+    if kind == LINEAR and var0 == 0.25:
+        want.add("zero-effort taker")
+    assert want <= seen
+
+
+def _compare_with_dense_oracle(kind, var0):
+    seen = set()
+    for n, tie, den in ((1, "lowest-index", "participants"),
+                        (2, "seeded-random", "full-n"),
+                        (3, "lowest-index", "full-n"),
+                        (8, "seeded-random", "participants"),
+                        (19, "lowest-index", "participants"),
+                        (19, "seeded-random", "full-n")):
+        scen = _oracle_scenario(kind, n, var0)
+        settings = EngineSettings(chunk_size=777, tie_break=tie,
+                                  hom_denominator=den)
+        cells = _oracle_cells(scen, settings)
+        for t0 in range(0, 1600, settings.chunk_size):
+            draws = engine._draw_chunk(scen, 5, t0, min(t0 + 777, 1600),
+                                       settings)
+            for cell in cells:
+                metrics, stages = engine._run_mechanism(cell, draws, t0, False)
+                want_m, want_r = _dense_oracle(cell, draws, t0)
+                what = (cell.mech, n, tie, den, t0)
+                for k, got in zip(METRICS, metrics):
+                    _assert_same_bits(got, want_m[k], (k,) + what)
+                record = stages.record()
+                assert record.keys() == want_r.keys()
+                for k in record:
+                    _assert_same_bits(record[k], want_r[k], (k,) + what)
+                eng = stages.engaged
+                if eng.flat is not None and eng.flat.size:
+                    if n >= 8 and eng.runs[2].max() >= 3:
+                        seen.add("three or more engaged")
+                    if np.any(stages.efforts == 0.0):
+                        seen.add("zero-effort taker")
+    return seen
+
+
+@pytest.mark.parametrize("types", [(0.3, 0.3, 0.7), (0.4, 0.2, 0.2)])
+def test_engaged_pipeline_matches_dense_oracle_on_ties_and_general(types):
+    # tied reports under both tie-breaks, and cope-general on fixed types
+    for kind in (LINEAR, QUADRATIC):
+        scen = _oracle_scenario(kind, 3)
+        for tie in ("lowest-index", "seeded-random"):
+            settings = EngineSettings(chunk_size=777, tie_break=tie,
+                                      fixed_types=types)
+            cells = _oracle_cells(scen, settings)
+            cells.append(engine._Cell(
+                scen, COPE_GENERAL, 5, settings,
+                engine._cell_state(scen, COPE_GENERAL, settings)))
+            n_trials = 40
+            draws = engine._draw_chunk(scen, 5, 0, n_trials, settings)
+            for cell in cells:
+                if cell.mech.kind == "cope-general":
+                    # a numeric solve per trial: a few trials suffice
+                    draws = tuple(d[:3] for d in draws)
+                metrics, stages = engine._run_mechanism(cell, draws, 0, False)
+                want_m, want_r = _dense_oracle(cell, draws, 0)
+                for k, got in zip(METRICS, metrics):
+                    _assert_same_bits(got, want_m[k], (k, cell.mech, tie))
+                record = stages.record()
+                for k in record:
+                    _assert_same_bits(record[k], want_r[k], (k, cell.mech))
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_engaged_pipeline_matches_dense_oracle_in_run_trial(kind):
+    # run_trial's dense record and metrics equal the dense pipeline's, in
+    # truthful mode for every mechanism and in best-response mode for COPE
+    scen = _oracle_scenario(kind, 3)
+    settings = EngineSettings(br_grid=21, br_mc=500)
+    cells = _oracle_cells(scen, settings)
+    for t in (0, 4):
+        draws = engine._draw_chunk(scen, 5, t, t + 1, settings)
+        for cell in cells:
+            if cell.state != engine._cell_state(scen, cell.mech, settings):
+                continue    # the forced contract is no mechanism of its own
+            rec = run_trial(scen, cell.mech, TRUTHFUL, seed=5, trial_index=t,
+                            settings=settings)
+            want_m, want_r = _dense_oracle(cell, draws, t)
+            for k in TRIAL_METRICS:
+                _assert_same_bits(getattr(rec, k), want_m[k][0], (k, t))
+            for k, want in want_r.items():
+                _assert_same_bits(getattr(rec, k), want[0], (k, t))
+    cope = cells[0]
+    x, types, noise = engine._draw_chunk(scen, 5, 0, 1, settings)
+    reported = np.array([[agents.best_response_type(
+        float(th), scen, n_grid=21, n_mc=500).theta_star for th in types[0]]])
+    efforts = np.array([[agents.best_response_effort(
+        float(th), scen, theta_hat=float(reported[0, i]),
+        theta_rest=np.delete(reported[0], i))
+        for i, th in enumerate(types[0])]])
+    _, terms = _designate_dense(cope, reported, 0)
+    want_m, want_r = _dense_oracle(cope, (x, types, noise), 0, reported,
+                                   efforts, terms)
+    rec = run_trial(scen, cope.mech, BEST_RESPONSE, seed=5, trial_index=0,
+                    settings=settings)
+    for k in TRIAL_METRICS:
+        _assert_same_bits(getattr(rec, k), want_m[k][0], k)
+    for k, want in want_r.items():
+        _assert_same_bits(getattr(rec, k), want[0], k)
 
 
 def test_cope_linear_winner_take_all(make_scenario):

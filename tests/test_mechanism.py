@@ -347,6 +347,35 @@ def _theta_q_plus_q2():
             lambda q, g: g * q + q * q, lambda q, g: 0.5 * g * q * q + q ** 3 / 3.0)
 
 
+def test_efforts_at_price_slope_is_the_last_iterates():
+    # a rival of type 0.2717 under theta (1 + q^2), U[0, 1] types and
+    # var0 = 1, priced at lam = 1/1.3565537^2: dq_dlam is the reciprocal of
+    # the forward-difference slope at the iterate before the final Newton
+    # step, not 1/vm' = 1/(4 theta q) at the returned effort
+    model = _theta_one_plus_q2()[0]
+    theta = np.array([0.2717])
+    inv_hazard = CostTypeDistribution.uniform(0.0, 1.0).inverse_hazard(theta)
+    calls = []
+
+    def vm(q, idx):
+        out = mechanism._virtual_marginal(model, q, theta[idx],
+                                          inv_hazard[idx])
+        calls.append((q.copy(), out.copy()))
+        return out
+
+    P = 1.3565537
+    q, dq_dlam, evals = mechanism._efforts_at_price(
+        vm, 1.0 / (P * P), 2.0 * (P - 1.0), np.array([0.01]))
+    assert evals == len(calls)
+    (x, _), (v, v_h) = calls[-1]
+    h = max(1e-6 * x, 1e-300)
+    assert dq_dlam[0] == 1.0 / ((v_h - v) / h)
+    assert q[0] != x        # the final Newton step left the last iterate
+    assert q[0] == pytest.approx(3.834e-3, rel=1e-3)
+    assert dq_dlam[0] == pytest.approx(166.2, rel=1e-3)
+    assert 1.0 / (4.0 * theta[0] * q[0]) == pytest.approx(239.96, rel=1e-4)
+
+
 def _multistart_lbfgsb(vmarg, vcost, gamma, var0, seed=0):
     """The multistart L-BFGS-B effort search the scalar solve replaced (two
     structured starts and six uniform ones on [0, 5]), kept as an oracle."""

@@ -86,7 +86,7 @@ def test_zero_effort_yields_sentinel():
 def test_huge_effort_pins_observation_to_state():
     x = np.array([0.3])
     noise = rng.normals(7, 1, rng.NOISE, 1).reshape(1, 1)
-    obs, est = engine._observe(x, np.array([[1e12]]), noise,
+    obs, est = engine._observe(x[:, None], np.array([[1e12]]), noise,
                                GaussianPrior(0.0, 1.0))
     assert abs(obs[0, 0] - 0.3) < 1e-5 and abs(est[0, 0] - 0.3) < 1e-5
 
@@ -101,7 +101,8 @@ def test_unit_effort_noise_variance():
     x, _, noise = engine._draw_chunk(scen, 42, 10, 50_010, settings)
     stream = rng.normals(42, 2, rng.NOISE, 100_000, offset=20)
     assert np.array_equal(noise.ravel(), stream)
-    obs, _ = engine._observe(x, np.ones_like(noise), noise, scen.prior)
+    obs, _ = engine._observe(x[:, None], np.ones_like(noise), noise,
+                             scen.prior)
     assert np.allclose(obs - x[:, None], noise)
     assert abs(stream.var(ddof=1) - 1.0) < 0.02
 
