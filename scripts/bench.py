@@ -15,8 +15,11 @@ Runs, in the checkout at --root (default: the one this script sits in):
   ``results.csv`` files;
 - the Tier-1 test suite: its wall time and summary line.
 
-It also records the git SHA (and whether the tree has uncommitted changes),
-the platform, the numpy and scipy versions and ``os.cpu_count()``.  Wall
+It also records the code it measured: the line count of each module of
+``src/copesim`` and their total, and a SHA-256 over those modules' names and
+contents, which names the code even when the tree has uncommitted changes.
+With them go the git SHA (and whether the tree has uncommitted changes), the
+platform, the numpy and scipy versions and ``os.cpu_count()``.  Wall
 times drift between runs on a shared machine; the work counts and hashes do
 not.  Usage: ``python3 scripts/bench.py LABEL [--root DIR] [--out DIR]``.
 """
@@ -24,6 +27,7 @@ not.  Usage: ``python3 scripts/bench.py LABEL [--root DIR] [--out DIR]``.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -108,6 +112,21 @@ def tier1(root) -> dict:
                 summary=lines[-1] if lines else "")
 
 
+def source(root) -> dict:
+    """Line counts of the src/copesim modules and a SHA-256 over their
+    names and contents, in name order."""
+    lines, digest = {}, hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(root, "src", "copesim",
+                                              "*.py"))):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        name = os.path.basename(path)
+        lines[name] = data.count(b"\n")
+        digest.update(name.encode() + b"\0" + data)
+    return dict(src_lines=dict(lines, total=sum(lines.values())),
+                src_sha256=digest.hexdigest())
+
+
 def environment(root) -> dict:
     import numpy
     import scipy
@@ -137,7 +156,8 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
         print(f"error: {root} has no perfbench/run.py", file=sys.stderr)
         return 2
-    record = dict(label=args.label, environment=environment(root))
+    record = dict(label=args.label, environment=environment(root),
+                  source=source(root))
     record["work_counts"] = work_counts(perfbench(root, 1))
     record["end_to_end"] = end_to_end(perfbench(root, 0))
     record["headline"] = headline(root)

@@ -26,7 +26,7 @@ from .engine import (MechanismSpec, EngineSettings, TrialRecord, MetricStat,
                      ExperimentResult, run_trial, run_batch, run_experiment,
                      normalize_payoff, COPE_LINEAR, COPE_QUADRATIC,
                      COPE_GENERAL, CENTRALIZED, homogeneous_spec, TRUTHFUL,
-                     BEST_RESPONSE, METRICS)
+                     METRICS)
 from .config import ExperimentConfig, ConfigError, load_config, save_config
 
 __version__ = "0.1.0"

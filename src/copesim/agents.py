@@ -12,7 +12,6 @@ candidate reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -111,8 +110,10 @@ def _payoff_matrix(theta: float, candidates, effort_policy,
                    scenario: Scenario, rivals: np.ndarray) -> np.ndarray:
     """(n_candidates, n_mc) COPE payoffs of an agent of type theta reporting
     each candidate against each rival draw.  effort_policy: "optimal" (the
-    agent's reply to the stake K), "designated" (the mechanism's Q), or a
-    fixed level."""
+    agent's reply to the stake K) or "designated" (the mechanism's Q)."""
+    if effort_policy not in ("optimal", "designated"):
+        raise ValueError(f"unknown effort policy {effort_policy!r}; use "
+                         "'optimal' or 'designated'")
     dist = scenario.type_dist
     lo, hi = dist.theta_lo, dist.theta_hi
     var0 = scenario.prior.var0
@@ -139,24 +140,18 @@ def _payoff_matrix(theta: float, candidates, effort_policy,
     rows = max(1, _BLOCK // max(rivals.shape[0], 1))
     for start in range(0, th_c.size, rows):
         pi, K, S, Q, paid = components(th_c[start:start + rows, None])
-        if effort_policy == "optimal":
-            q = reply(K, theta, prec)
-        elif effort_policy == "designated":
-            q = Q
-        else:
-            q = np.full_like(K, float(effort_policy))
+        q = reply(K, theta, prec) if effort_policy == "optimal" else Q
         out[start:start + rows] = np.where(paid, effort_payoff(
             q, theta, K, S, pi, scenario.cost_model, prec), 0.0)
     return out
 
 
-def interim_payoff(theta: float, theta_hat: float, effort_policy,
+def interim_payoff(theta: float, theta_hat: float, effort_policy: str,
                    scenario: Scenario, n_mc: int = 10_000,
                    seed: int = 0) -> InterimPayoff:
     """Expected COPE payoff of an agent of type theta reporting theta_hat,
     all rivals truthful; Monte-Carlo over rival types only (the inner
-    expectation is analytic).  effort_policy: "optimal", "designated", or a
-    fixed level.
+    expectation is analytic).  effort_policy: "optimal" or "designated".
     """
     rivals = _rival_types(scenario, n_mc, seed)
     draws = _payoff_matrix(theta, [theta_hat], effort_policy, scenario,
@@ -206,14 +201,11 @@ def best_response_type(theta: float, scenario: Scenario, n_grid: int = 101,
 
 
 def best_response_effort(theta: float, scenario: Scenario,
-                         theta_hat: Optional[float] = None,
                          theta_rest=()) -> float:
     """Golden-section maximizer, to a bracket of 1e-12, of the analytic
     interim payoff pi - K/(prec+q) + S - C(q, theta) over [0, q_max], given a
-    truthful (or specified) type report and realized rival reports; q_max
-    bounds the optimum of either cost family."""
-    if theta_hat is None:
-        theta_hat = theta
+    truthful type report and realized rival reports; q_max bounds the
+    optimum of either cost family."""
     dist = scenario.type_dist
     lo, hi = dist.theta_lo, dist.theta_hi
     var0 = scenario.prior.var0
@@ -222,7 +214,7 @@ def best_response_effort(theta: float, scenario: Scenario,
     payment_rule = (mechanism.payment_rule_linear
                     if _closed_form_kind(scenario) == LINEAR
                     else mechanism.payment_rule_quadratic)
-    rule = payment_rule(np.concatenate([[theta_hat], rest]), lo, hi, var0)
+    rule = payment_rule(np.concatenate([[theta], rest]), lo, hi, var0)
     K, S, pi = rule.K[0], rule.S[0], rule.pi[0]
     if K == 0.0:
         return 0.0   # payoff strictly decreasing in effort

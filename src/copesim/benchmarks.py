@@ -262,11 +262,9 @@ def _moment_rule() -> Tuple[np.ndarray, np.ndarray]:
 
 def _participating_moments(contract: HomogeneousContract,
                            type_dist: CostTypeDistribution, var0: float,
-                           cost_kind: str, theta_star: float
-                           ) -> Tuple[float, float, float, float]:
-    """Conditional moments of the participating types: E[b], E[b^2], E[w],
-    E[hA] with b = q/(prec+q), w = q/(prec+q)^2, hA = 1/(prec+q) at the
-    agent's own best-response effort."""
+                           cost_kind: str, theta_star: float) -> float:
+    """E[hA] over the participating types, hA = 1/(prec+q) the posterior
+    risk at the agent's own best-response effort."""
     prec = 1.0 / var0
     lo = max(type_dist.theta_lo, TYPE_CLAMP)
     x, wts = _moment_rule()
@@ -276,7 +274,7 @@ def _participating_moments(contract: HomogeneousContract,
         edge = contract.beta * var0 * var0
         if lo < edge < theta_star:
             segments = [(lo, edge), (edge, theta_star)]
-    num_b = num_b2 = num_w = num_h = mass = 0.0
+    num_h = mass = 0.0
     for a, b_end in segments:
         if b_end <= a:
             continue
@@ -286,16 +284,9 @@ def _participating_moments(contract: HomogeneousContract,
         pdf = type_dist.pdf(t)
         with np.errstate(divide="ignore"):
             inv = np.where(prec + q > 0.0, 1.0 / (prec + q), np.inf)
-        b_val = q * inv
-        w_val = q * inv * inv
-        num_b += half * np.sum(wts * pdf * b_val)
-        num_b2 += half * np.sum(wts * pdf * b_val ** 2)
-        num_w += half * np.sum(wts * pdf * w_val)
         num_h += half * np.sum(wts * pdf * inv)
         mass += half * np.sum(wts * pdf)
-    if mass <= 0.0:
-        return 0.0, 0.0, 0.0, var0
-    return num_b / mass, num_b2 / mass, num_w / mass, num_h / mass
+    return num_h / mass if mass > 0.0 else var0
 
 
 def homogeneous_expected_payoff(contract: HomogeneousContract,
@@ -316,20 +307,29 @@ def homogeneous_expected_payoff(contract: HomogeneousContract,
     p = float(np.clip(type_dist.cdf(theta_star), 0.0, 1.0))
     if p <= 0.0:
         return -var0
-    eb, eb2, ew, eh = _participating_moments(contract, type_dist, var0,
-                                             cost_kind, theta_star)
-    # expected squared error given m participants; the predictor weight
-    # c_m = (q_dag + prec)/(prec + D q_dag) comes from un-shrinking at q_dag
+    eh = _participating_moments(contract, type_dist, var0, cost_kind,
+                                theta_star)
+
+    # expected squared error given m participants, var0 (1 - c sum b)^2 +
+    # c^2 sum w, with the predictor weight c = (q_dag + prec)/D, D = prec +
+    # d q_dag, from un-shrinking at q_dag.  b = q/(prec+q) = 1 - prec hA and
+    # w = b hA, so the E[hA^2] terms cancel and E[hA] suffices.  The var0
+    # term is formed only where a1 != 0, so var0 = inf meets no inf * 0
     def err(m: int) -> float:
         if m == 0:
             return var0
         d = m if n_denominator is None else n_denominator
-        c = (q_dag + prec) / (prec + d * q_dag)
-        shape = 1.0 - 2.0 * c * m * eb + c * c * (m * (eb2 - eb * eb)
-                                                  + m * m * eb * eb)
-        return var0 * shape + c * c * m * ew
-    mse = sum(math.comb(n_agents, m) * p ** m * (1.0 - p) ** (n_agents - m)
-              * err(m) for m in range(n_agents + 1))
+        den = prec + d * q_dag
+        c = (q_dag + prec) / den
+        a1 = (d - m) * q_dag
+        a2 = (1 - m) + m * (q_dag + prec) * eh
+        bias = 2.0 * a1 * a2 + prec * a2 * a2
+        if a1 != 0.0:
+            bias += var0 * a1 * a1
+        return bias / (den * den) + c * c * m * eh * (1.0 - prec * eh)
+    weights = (math.comb(n_agents, m) * p ** m * (1.0 - p) ** (n_agents - m)
+               for m in range(n_agents + 1))
+    mse = sum(w * err(m) for m, w in enumerate(weights) if w > 0.0)
     payments = n_agents * p * (contract.alpha - contract.beta * eh)
     return float(-mse - payments)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .costs import LINEAR, QUADRATIC, linear_cost, quadratic_cost
-from .engine import MechanismSpec, homogeneous_spec
+from .engine import EngineSettings, MechanismSpec, homogeneous_spec
 from .model import CostTypeDistribution, GaussianPrior
 
 
@@ -45,6 +45,8 @@ class ExperimentConfig:
         try:
             self.prior()
             self.type_dist()
+            EngineSettings(tie_break=self.tie_break,
+                           hom_denominator=self.hom_denominator)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not (math.isfinite(self.mu0) and math.isfinite(self.var0)):
@@ -63,10 +65,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.tie_break not in ("lowest-index", "seeded-random"):
-            raise ConfigError(f"unknown tie_break {self.tie_break!r}")
-        if self.hom_denominator not in ("participants", "full-n"):
-            raise ConfigError(f"unknown denominator {self.hom_denominator!r}")
         if self.use_homogeneous and not (self.theta_dagger_list and all(
                 0 < td < math.inf for td in self.theta_dagger_list)):
             raise ConfigError(f"theta_dagger must list positive finite values, "

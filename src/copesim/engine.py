@@ -9,8 +9,11 @@ every random quantity is read positionally from counter-based streams keyed
 by (master seed, N, purpose), so trial t is the same no matter how work is
 chunked or parallelized.  Each chunk of one N is drawn once and every
 mechanism at that N runs on that draw, so the mechanisms share their world
-draws trial by trial (common random numbers).  Posted-contract cells
-evaluate best responses only at types at or below the cell's cut.
+draws trial by trial (common random numbers).  COPE agents are truthful: they
+report their types and posterior-mean estimates and exert the designated
+effort, the equilibrium that the bic and bir verify suites certify.  Agents
+offered a posted contract best-respond to its reward; a cell evaluates those
+responses only at types at or below its cut.
 
 Every stage after designate (observe, settle, metrics) works on the chunk's
 engaged agents, those that exert effort or file a report: the recruited
@@ -37,13 +40,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import agents, benchmarks, mechanism, rng
+from . import benchmarks, mechanism, rng
 from .costs import LINEAR, QUADRATIC, cost
 from .model import (NO_OBSERVATION, CostTypeDistribution, GaussianPrior,
                     Scenario, TYPE_CLAMP)
 
 TRUTHFUL = "truthful"
-BEST_RESPONSE = "best-response"
 
 MECHANISM_KINDS = ("cope-linear", "cope-quadratic", "cope-general",
                    "centralized", "homogeneous")
@@ -77,11 +79,20 @@ CENTRALIZED = MechanismSpec("centralized")
 @dataclass(frozen=True)
 class EngineSettings:
     chunk_size: int = 4096
-    tie_break: str = "lowest-index"        # or "seeded-random"
-    hom_denominator: str = "participants"  # or "full-n"
+    tie_break: str = "lowest-index"
+    hom_denominator: str = "participants"
     fixed_types: Optional[Tuple[float, ...]] = None
-    br_grid: int = 41      # best-response agent mode oracle resolution
-    br_mc: int = 2000
+
+    def __post_init__(self):
+        if not (isinstance(self.chunk_size, (int, np.integer))
+                and self.chunk_size >= 1):
+            raise ValueError(
+                f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
+        for name, legal in (("tie_break", ("lowest-index", "seeded-random")),
+                            ("hom_denominator", ("participants", "full-n"))):
+            if getattr(self, name) not in legal:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"use {' or '.join(legal)}")
 
 
 @dataclass(frozen=True)
@@ -347,27 +358,6 @@ def _designate_cope_general(cell: _Cell, reported, t0):
     return reported, None, q, (pi, K, S, q)
 
 
-def _best_response(cell: _Cell, types, t0, designate):
-    """Best-response agents: each reports the oracle's best response to
-    truthful rivals, then exerts its best-response effort to the transfers
-    those reports set.  designate is the mechanism's own step; the principal
-    still settles on the efforts it designates.  Every agent is engaged, and
-    the terms are spread over all of them."""
-    scenario, settings = cell.scenario, cell.settings
-    reported = np.array([[agents.best_response_type(
-        float(th), scenario, n_grid=settings.br_grid,
-        n_mc=settings.br_mc).theta_star
-        for th in row] for row in types])
-    _, flat, _, terms = designate(cell, reported, t0)
-    designated = _Engaged(types.shape, flat)
-    efforts = np.array([[agents.best_response_effort(
-        float(th), scenario, theta_hat=float(rep[i]),
-        theta_rest=np.delete(rep, i)) for i, th in enumerate(row)]
-        for row, rep in zip(types, reported)])
-    return reported, None, efforts, tuple(designated.dense(t, 0.0)
-                                          for t in terms)
-
-
 def _settle_cope(cell: _Cell, x, eng, efforts, obs, est, terms):
     pi, K, S, q = terms
     prior = cell.scenario.prior
@@ -504,15 +494,13 @@ class _Stages:
                     payments=eng.dense(self.payments, 0.0))
 
 
-def _run_mechanism(cell: _Cell, draws, t0: int, best_response: bool):
+def _run_mechanism(cell: _Cell, draws, t0: int):
     """One mechanism on one chunk's draws: designate, then observe, settle
     and score the engaged agents only.  Returns (metrics, stages)."""
     scenario = cell.scenario
     x, types, noise = draws
     designate, settle = _STEPS[cell.mech.kind]
-    reported, flat, efforts, terms = (
-        _best_response(cell, types, t0, designate) if best_response
-        else designate(cell, types, t0))
+    reported, flat, efforts, terms = designate(cell, types, t0)
     eng = _Engaged(types.shape, flat)
     obs, est = _observe(eng.at_trial(x), efforts, eng.take(noise),
                         scenario.prior)
@@ -525,8 +513,7 @@ def _run_mechanism(cell: _Cell, draws, t0: int, best_response: bool):
 
 
 def _chunks(scenario: Scenario, mechs: Sequence[MechanismSpec], seed: int,
-            t_lo: int, t_hi: int, settings: EngineSettings,
-            best_response: bool = False
+            t_lo: int, t_hi: int, settings: EngineSettings
             ) -> Iterator[Tuple[int, np.ndarray, _Stages]]:
     """Run trials [t_lo, t_hi) in chunks through the one pipeline.  Each
     chunk is drawn once and every mechanism of mechs runs on that draw, in
@@ -540,7 +527,7 @@ def _chunks(scenario: Scenario, mechs: Sequence[MechanismSpec], seed: int,
         t1 = min(t0 + settings.chunk_size, t_hi)
         draws = _draw_chunk(scenario, seed, t0, t1, settings)
         for i, cell in enumerate(cells):
-            yield (i, *_run_mechanism(cell, draws, t0, best_response))
+            yield (i, *_run_mechanism(cell, draws, t0))
 
 
 # -- public entry points -------------------------------------------------------
@@ -548,24 +535,18 @@ def _chunks(scenario: Scenario, mechs: Sequence[MechanismSpec], seed: int,
 def run_trial(scenario: Scenario, mech: MechanismSpec, agent_mode: str,
               seed: int, trial_index: int = 0,
               settings: EngineSettings = EngineSettings()) -> TrialRecord:
-    """One fully-resolved trial; trial_index addresses the same draws the
-    batched runner would use, so a record here equals the batch row.  Only
-    this entry point builds the dense per-agent record.
-
-    In best-response mode COPE agents pick their reports and efforts with the
-    numeric oracles (slow, verification only).  The planner has no strategic
-    agents and posted-contract agents always best-respond, so those two
-    mechanisms run as in truthful mode."""
+    """One fully-resolved trial with truthful agents; agent_mode must be
+    TRUTHFUL.  trial_index addresses the same draws the batched runner would
+    use, so a record here equals the batch row.  Only this entry point builds
+    the dense per-agent record."""
     check_pairing(scenario, mech)
-    if agent_mode not in (TRUTHFUL, BEST_RESPONSE):
-        raise ValueError(f"unknown agent mode {agent_mode!r}")
-    best_response = agent_mode == BEST_RESPONSE and mech.kind.startswith("cope")
-    if best_response and mech.kind == "cope-general":
-        raise ValueError("best-response mode needs the closed-form payment "
-                         "path; cope-general is not supported")
+    if agent_mode != TRUTHFUL:
+        raise ValueError(f"unknown agent mode {agent_mode!r}; agents are "
+                         f"{TRUTHFUL!r}")
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     _, metrics, stages = next(_chunks(scenario, [mech], seed, trial_index,
-                                      trial_index + 1, settings,
-                                      best_response))
+                                      trial_index + 1, settings))
     fields = {k: v[0] for k, v in stages.record().items()}
     fields.update({k: float(fields[k]) for k in ("x", "prediction")})
     fields.update({k: float(row[0]) for k, row in zip(METRICS, metrics)
@@ -579,6 +560,8 @@ def run_batch(scenario: Scenario, mech: MechanismSpec, seed: int,
     """Per-trial metric arrays for n_trials truthful trials (chunked
     internally; concatenated output)."""
     check_pairing(scenario, mech)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rows = np.concatenate([metrics for _, metrics, _ in _chunks(
         scenario, [mech], seed, 0, n_trials, settings)], axis=1)
     return dict(zip(METRICS, rows))

@@ -549,32 +549,6 @@ def effort_general(model: CostModel, type_dist: CostTypeDistribution,
     return q
 
 
-def general_objective_hessian(model: CostModel, type_dist: CostTypeDistribution,
-                              var0: float, theta_hat, q) -> np.ndarray:
-    """Finite-difference Hessian of the effort objective at q (for concavity
-    checks; strictly regular models give a negative-definite matrix)."""
-    h = 1e-5
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    prec = 1.0 / var0
-    inv_hazard = np.asarray(type_dist.inverse_hazard(theta_hat), dtype=float)
-
-    def obj(qv):
-        return -1.0 / (prec + qv.sum()) - float(
-            np.sum(_virtual_total(model, qv, theta_hat, inv_hazard)))
-
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.eye(n)[i] * h
-            ej = np.eye(n)[j] * h
-            H[i, j] = (obj(q + ei + ej) - obj(q + ei - ej)
-                       - obj(q - ei + ej) + obj(q - ei - ej)) / (4 * h * h)
-            H[j, i] = H[i, j]
-    return H
-
-
 def payment_rule_general(model: CostModel, efforts: Callable,
                          type_dist: CostTypeDistribution, theta_hat,
                          var0: float) -> PaymentRule:

@@ -182,6 +182,20 @@ def test_criterion_07_general_closed_form_consistency():
         verify.format_report("closed-forms", checks)
 
 
+def test_monotonicity_suite():
+    # the effort schedules fall in the own report and the transfers are
+    # nonnegative; the elasticity bound stays an informational row that
+    # fails near theta_lo without failing the suite
+    checks = verify.suite_monotonicity(seed=SEED)
+    assert verify.suite_passed(checks), \
+        verify.format_report("monotonicity", checks)
+    required = [c for c in checks if c.required]
+    assert len(required) == 4 and all(c.passed for c in required)
+    info, = [c for c in checks if not c.required]
+    assert "elasticity" in info.name
+    assert not info.passed and info.measured < info.bound == 0.5
+
+
 def test_criterion_08_effort_sparsity_dichotomy(linear_sweep, quadratic_sweep):
     # winner-take-all under linear cost, everyone recruited under quadratic,
     # in every one of the 17 x 50000 trials

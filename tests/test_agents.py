@@ -120,18 +120,22 @@ def test_interim_payoff_matches_information_rent(make_scenario, kind, theta):
     assert abs(p.value - r.value) <= 1e-12
 
 
-def test_optimal_effort_dominates_fixed_and_matches_designated(make_scenario):
+def test_optimal_effort_matches_designated_at_truth(make_scenario):
     scen = make_scenario(LINEAR, 3)
     opt = agents.interim_payoff(0.3, 0.3, "optimal", scen,
                                 n_mc=2000, seed=9)
     desig = agents.interim_payoff(0.3, 0.3, "designated", scen,
                                   n_mc=2000, seed=9)
-    fixed = agents.interim_payoff(0.3, 0.3, 0.0, scen,
-                                  n_mc=2000, seed=9)
     # at a truthful report the reward weight makes the designated effort the
-    # agent's own optimum, and any fixed effort can only do worse
+    # agent's own optimum
     assert abs(opt.value - desig.value) <= 1e-12
-    assert opt.value >= fixed.value - 1e-12
+
+
+@pytest.mark.parametrize("policy", [0.0, "fixed"])
+def test_interim_payoff_rejects_other_effort_policies(make_scenario, policy):
+    with pytest.raises(ValueError, match="unknown effort policy"):
+        agents.interim_payoff(0.3, 0.3, policy, make_scenario(LINEAR, 3),
+                              n_mc=10)
 
 
 def test_truth_is_best_response_linear(make_scenario):
@@ -157,7 +161,7 @@ def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
     scen = make_scenario(kind, 3)
     rivals = agents._rival_types(scen, 1 << 15, 4)
     candidates = np.linspace(0.05, 0.95, 9)
-    for policy in ("optimal", "designated", 0.5):
+    for policy in ("optimal", "designated"):
         together = agents._payoff_matrix(0.4, candidates, policy, scen, rivals)
         for row, th in zip(together, candidates):
             alone = agents._payoff_matrix(0.4, [th], policy, scen, rivals)

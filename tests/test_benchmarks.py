@@ -9,7 +9,8 @@ import pytest
 from copesim import benchmarks as B
 from copesim import engine, mechanism
 from copesim.costs import LINEAR, QUADRATIC, linear_cost, quadratic_cost
-from copesim.model import CostTypeDistribution, GaussianPrior, Scenario
+from copesim.model import (TYPE_CLAMP, CostTypeDistribution, GaussianPrior,
+                           Scenario)
 
 
 def test_centralized_linear_concentrates_on_cheapest():
@@ -214,6 +215,76 @@ def test_expected_payoff_matches_two_agent_quadrature(kind, full_n):
                                               2 if full_n else None)
         check = _two_agent_payoff(c, kind, u01, prior, full_n)
         assert abs(exact - check) <= 1e-6, (td, exact, check)
+
+
+def _four_moment_payoff(contract, type_dist, prior, n, kind, n_den):
+    """The expected payoff from E[b], E[b^2], E[w] and E[hA] of the
+    participating types (b = q/(prec+q), w = q/(prec+q)^2, hA = 1/(prec+q)),
+    each on the quadrature nodes homogeneous_expected_payoff uses."""
+    var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
+    theta_star = B._participation_threshold(contract, type_dist, var0, kind)
+    p = float(type_dist.cdf(theta_star))
+    x, wts = B._moment_rule()
+    lo, edge = max(type_dist.theta_lo, TYPE_CLAMP), contract.beta * var0 ** 2
+    segments = [(lo, edge), (edge, theta_star)] \
+        if kind == LINEAR and lo < edge < theta_star else [(lo, theta_star)]
+    sums = np.zeros(5)   # b, b^2, w, hA and the mass
+    for a, z in segments:
+        t = 0.5 * (a + z) + 0.5 * (z - a) * x
+        q, _ = B.homogeneous_response_batch(t, contract, kind, var0)
+        h = 1.0 / (prec + q)
+        for i, v in enumerate((q * h, (q * h) ** 2, q * h * h, h, 1.0)):
+            sums[i] += 0.5 * (z - a) * np.sum(wts * type_dist.pdf(t) * v)
+    eb, eb2, ew, eh = sums[:4] / sums[4]
+
+    def err(m):
+        if m == 0:
+            return var0
+        c = (q_dag + prec) / (prec + (m if n_den is None else n_den) * q_dag)
+        shape = 1.0 - 2.0 * c * m * eb + c * c * (m * (eb2 - eb * eb)
+                                                  + m * m * eb * eb)
+        return var0 * shape + c * c * m * ew
+    mse = sum(math.comb(n, m) * p ** m * (1.0 - p) ** (n - m) * err(m)
+              for m in range(n + 1))
+    return -mse - n * p * (contract.alpha - contract.beta * eh)
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_expected_payoff_matches_the_four_moment_form(kind, var0):
+    # the error given m participants needs E[hA] alone, since b = 1 - prec hA
+    # and w = b hA; it equals the form over all four moments to roundoff
+    u01 = CostTypeDistribution.uniform(0.0, 1.0)
+    prior = GaussianPrior(0.3, var0)
+    for n in (1, 2, 3, 8, 19):
+        for td in (0.2, 0.5, 0.8):
+            c = B.homogeneous_contract(td, n, kind, var0)
+            for n_den in (None, n):
+                got = B.homogeneous_expected_payoff(c, u01, prior, n, kind,
+                                                    n_den)
+                want = _four_moment_payoff(c, u01, prior, n, kind, n_den)
+                assert abs(got - want) <= 1e-14 * abs(want), (n, td, n_den)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_flat_prior_posts_without_warnings(kind):
+    # at var0 = inf a trial without a participant errs infinitely, so the
+    # expected payoff is -inf and ties the no-action baseline: the contract
+    # is posted, with no inf * 0 on the way
+    u01 = CostTypeDistribution.uniform(0.0, 1.0)
+    prior = GaussianPrior(0.3, math.inf)
+    for n in (1, 2, 3, 8, 19):
+        for denominator in ("participants", "full-n"):
+            settings = engine.EngineSettings(hom_denominator=denominator)
+            scen = Scenario(prior=prior, type_dist=u01, n_agents=n,
+                            cost_model=linear_cost() if kind == LINEAR
+                            else quadratic_cost())
+            contract, posted, n_den, _ = engine._cell_state(
+                scen, engine.homogeneous_spec(0.5), settings)
+            assert posted, (n, denominator)
+            assert B.homogeneous_fallback(contract, u01, prior, n, kind,
+                                          n_den) == (True, -math.inf)
 
 
 def _compliance_payoff(theta_dagger, n, type_dist, prior):

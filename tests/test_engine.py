@@ -1,5 +1,5 @@
 """Simulation engine: trial/batch equivalence, determinism across chunking and
-worker counts, per-mechanism structural invariants, and agent modes."""
+worker counts, per-mechanism structural invariants, and input validation."""
 
 import math
 import pickle
@@ -10,11 +10,10 @@ import pytest
 from copesim import agents, benchmarks, engine, mechanism, rng
 from copesim.costs import (LINEAR, QUADRATIC, cost, general_cost, linear_cost,
                            quadratic_cost)
-from copesim.engine import (BEST_RESPONSE, CENTRALIZED, COPE_GENERAL,
-                            COPE_LINEAR, COPE_QUADRATIC, METRICS, TRUTHFUL,
-                            EngineSettings, MechanismSpec, homogeneous_spec,
-                            normalize_payoff, run_batch, run_experiment,
-                            run_trial)
+from copesim.engine import (CENTRALIZED, COPE_GENERAL, COPE_LINEAR,
+                            COPE_QUADRATIC, METRICS, TRUTHFUL, EngineSettings,
+                            MechanismSpec, homogeneous_spec, normalize_payoff,
+                            run_batch, run_experiment, run_trial)
 from copesim.model import (NO_OBSERVATION, CostTypeDistribution,
                            GaussianPrior, Scenario, principal_bayes_risk)
 
@@ -221,20 +220,17 @@ def _finish_metrics_dense(scenario, x, types, efforts, prediction, payments,
     }
 
 
-def _dense_oracle(cell, draws, t0, reported=None, efforts=None, terms=None):
-    """(metrics, record) of one chunk through the dense pipeline; reported,
-    efforts and terms default to the truthful designation."""
+def _dense_oracle(cell, draws, t0):
+    """(metrics, record) of one chunk through the dense pipeline."""
     x, types, noise = draws
     cope = cell.mech.kind.startswith("cope")
-    if reported is None:
-        reported = types
-        efforts, terms = _designate_dense(cell, types, t0)
+    efforts, terms = _designate_dense(cell, types, t0)
     obs, est = _observe_dense(x, efforts, noise, cell.scenario.prior)
     prediction, payments, expected_sq, reports = _settle_dense(
         cell, x, obs, est, efforts, terms)
     metrics = _finish_metrics_dense(cell.scenario, x, types, efforts,
                                     prediction, payments, expected_sq)
-    record = dict(x=x, types=types, reported_types=reported if cope
+    record = dict(x=x, types=types, reported_types=types if cope
                   else np.full_like(types, np.nan), efforts=efforts,
                   observations=obs, reports=reports, prediction=prediction,
                   payments=payments)
@@ -256,38 +252,24 @@ def _oracle_scenario(kind, n, var0=1.0):
                     else quadratic_cost())
 
 
-def _posted(scen, td, settings, cut=None):
-    """The state of a posted-contract cell that posts whatever its expected
-    payoff, with the contract's own cut unless one is given."""
-    kind, var0 = scen.cost_kind, scen.prior.var0
-    contract = benchmarks.homogeneous_contract(td, scen.n_agents, kind, var0)
-    if cut is None:
-        cut = benchmarks.homogeneous_type_cut(contract, scen.type_dist, var0,
-                                              kind)
-    n_den = scen.n_agents if settings.hom_denominator == "full-n" else None
-    return engine._Cell(scen, homogeneous_spec(td), 5, settings,
-                        (contract, True, n_den, cut))
-
-
 def _oracle_cells(scen, settings):
     """Every mechanism of the scenario's cost family, three posted contracts
     and, under linear cost, a contract forced to post with no cut: at
     var0 = 0.25 its zero-effort tail takes it (the principal would opt
-    out).  At var0 = inf the opt-out decision's expected payoff is not
-    finite, so the three contracts are forced to post too."""
+    out)."""
     kind = scen.cost_kind
-    mechs = [COPE_LINEAR if kind == LINEAR else COPE_QUADRATIC, CENTRALIZED]
+    mechs = [COPE_LINEAR if kind == LINEAR else COPE_QUADRATIC, CENTRALIZED,
+             homogeneous_spec(0.2), homogeneous_spec(0.5),
+             homogeneous_spec(0.8)]
     cells = [engine._Cell(scen, mech, 5, settings,
                           engine._cell_state(scen, mech, settings))
              for mech in mechs]
-    for td in (0.2, 0.5, 0.8):
-        mech = homogeneous_spec(td)
-        cells.append(_posted(scen, td, settings) if scen.prior.var0 == math.inf
-                     else engine._Cell(scen, mech, 5, settings,
-                                       engine._cell_state(scen, mech,
-                                                          settings)))
     if kind == LINEAR:
-        cells.append(_posted(scen, 0.001, settings, cut=math.inf))
+        contract = benchmarks.homogeneous_contract(0.001, scen.n_agents, kind,
+                                                   scen.prior.var0)
+        n_den = scen.n_agents if settings.hom_denominator == "full-n" else None
+        cells.append(engine._Cell(scen, homogeneous_spec(0.001), 5, settings,
+                                  (contract, True, n_den, math.inf)))
     return cells
 
 
@@ -325,7 +307,7 @@ def _compare_with_dense_oracle(kind, var0):
             draws = engine._draw_chunk(scen, 5, t0, min(t0 + 777, 1600),
                                        settings)
             for cell in cells:
-                metrics, stages = engine._run_mechanism(cell, draws, t0, False)
+                metrics, stages = engine._run_mechanism(cell, draws, t0)
                 want_m, want_r = _dense_oracle(cell, draws, t0)
                 what = (cell.mech, n, tie, den, t0)
                 for k, got in zip(METRICS, metrics):
@@ -361,7 +343,7 @@ def test_engaged_pipeline_matches_dense_oracle_on_ties_and_general(types):
                 if cell.mech.kind == "cope-general":
                     # a numeric solve per trial: a few trials suffice
                     draws = tuple(d[:3] for d in draws)
-                metrics, stages = engine._run_mechanism(cell, draws, 0, False)
+                metrics, stages = engine._run_mechanism(cell, draws, 0)
                 want_m, want_r = _dense_oracle(cell, draws, 0)
                 for k, got in zip(METRICS, metrics):
                     _assert_same_bits(got, want_m[k], (k, cell.mech, tie))
@@ -372,10 +354,10 @@ def test_engaged_pipeline_matches_dense_oracle_on_ties_and_general(types):
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
 def test_engaged_pipeline_matches_dense_oracle_in_run_trial(kind):
-    # run_trial's dense record and metrics equal the dense pipeline's, in
-    # truthful mode for every mechanism and in best-response mode for COPE
+    # run_trial's dense record and metrics equal the dense pipeline's for
+    # every mechanism
     scen = _oracle_scenario(kind, 3)
-    settings = EngineSettings(br_grid=21, br_mc=500)
+    settings = EngineSettings()
     cells = _oracle_cells(scen, settings)
     for t in (0, 4):
         draws = engine._draw_chunk(scen, 5, t, t + 1, settings)
@@ -389,23 +371,6 @@ def test_engaged_pipeline_matches_dense_oracle_in_run_trial(kind):
                 _assert_same_bits(getattr(rec, k), want_m[k][0], (k, t))
             for k, want in want_r.items():
                 _assert_same_bits(getattr(rec, k), want[0], (k, t))
-    cope = cells[0]
-    x, types, noise = engine._draw_chunk(scen, 5, 0, 1, settings)
-    reported = np.array([[agents.best_response_type(
-        float(th), scen, n_grid=21, n_mc=500).theta_star for th in types[0]]])
-    efforts = np.array([[agents.best_response_effort(
-        float(th), scen, theta_hat=float(reported[0, i]),
-        theta_rest=np.delete(reported[0], i))
-        for i, th in enumerate(types[0])]])
-    _, terms = _designate_dense(cope, reported, 0)
-    want_m, want_r = _dense_oracle(cope, (x, types, noise), 0, reported,
-                                   efforts, terms)
-    rec = run_trial(scen, cope.mech, BEST_RESPONSE, seed=5, trial_index=0,
-                    settings=settings)
-    for k in TRIAL_METRICS:
-        _assert_same_bits(getattr(rec, k), want_m[k][0], k)
-    for k, want in want_r.items():
-        _assert_same_bits(getattr(rec, k), want[0], k)
 
 
 def test_cope_linear_winner_take_all(make_scenario):
@@ -519,32 +484,6 @@ def test_general_trial_pays_the_linear_rent_past_a_close_rival(make_scenario):
     lin = run_trial(scen, COPE_LINEAR, TRUTHFUL, seed=0, trial_index=0,
                     settings=settings)
     assert np.allclose(gen.payments, lin.payments, rtol=0.0, atol=1e-8)
-
-
-def test_best_response_mode_stays_near_truth(make_scenario):
-    settings = EngineSettings(br_grid=21, br_mc=500)
-    for kind, mech in ((LINEAR, COPE_LINEAR), (QUADRATIC, COPE_QUADRATIC)):
-        scen = make_scenario(kind, 2)
-        rec = run_trial(scen, mech, BEST_RESPONSE, seed=17, trial_index=0,
-                        settings=settings)
-        close = np.abs(rec.reported_types - rec.types) <= 0.1
-        if kind == LINEAR:
-            # types at or above the clamp point (0.5 here) are never
-            # recruited under any such report, so those reports tie at zero
-            # payoff and the oracle may return any point of the plateau
-            plateau = (rec.types >= 0.5 - 1e-9) \
-                & (rec.reported_types >= 0.5 - 1e-9)
-            assert np.all(close | plateau)
-            assert np.sum(rec.efforts > 0.0) <= 1
-        else:
-            assert np.all(close)
-            assert np.all(rec.efforts > 0.0)
-
-
-def test_best_response_mode_rejects_general(make_scenario):
-    scen = make_scenario(LINEAR, 2)
-    with pytest.raises(ValueError):
-        run_trial(scen, COPE_GENERAL, BEST_RESPONSE, seed=0)
 
 
 def test_single_trial_experiment_equals_trial(make_scenario):
@@ -736,3 +675,23 @@ def test_pairing_and_spec_validation(make_scenario):
         MechanismSpec("ascending-auction")
     with pytest.raises(ValueError):
         run_trial(make_scenario(LINEAR, 2), COPE_LINEAR, "mixed", seed=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("chunk_size", -4096), ("chunk_size", 0), ("tie_break", "bogus"),
+    ("hom_denominator", "bogus")])
+def test_settings_reject_bad_values(field, value):
+    # each message names the field it rejects
+    with pytest.raises(ValueError, match=field):
+        EngineSettings(**{field: value})
+
+
+def test_run_trial_rejects_a_negative_trial_index(make_scenario):
+    with pytest.raises(ValueError, match="trial_index must be >= 0, got -1"):
+        run_trial(make_scenario(LINEAR, 2), COPE_LINEAR, TRUTHFUL, seed=0,
+                  trial_index=-1)
+
+
+def test_run_batch_rejects_no_trials(make_scenario):
+    with pytest.raises(ValueError, match="n_trials must be >= 1, got 0"):
+        run_batch(make_scenario(LINEAR, 2), COPE_LINEAR, seed=0, n_trials=0)

@@ -416,11 +416,26 @@ def test_general_optimizer_all_zero_when_clamped():
     assert np.all(q == 0.0)
 
 
+def _objective_hessian(model, type_dist, var0, theta_hat, q, h=1e-5):
+    """Central-difference Hessian of the effort objective -1/(prec + sum q)
+    - sum of virtual costs at q."""
+    inv_hazard = np.asarray(type_dist.inverse_hazard(theta_hat), dtype=float)
+
+    def obj(qv):
+        return -1.0 / (1.0 / var0 + qv.sum()) - float(np.sum(
+            mechanism._virtual_total(model, qv, theta_hat, inv_hazard)))
+
+    step = h * np.eye(q.size)
+    return np.array([[(obj(q + ei + ej) - obj(q + ei - ej) - obj(q - ei + ej)
+                       + obj(q - ei - ej)) / (4 * h * h) for ej in step]
+                     for ei in step])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_general_objective_concave_at_interior_solution():
     theta = np.array([0.4, 0.7])
     q = mechanism.effort_general(quadratic_cost(), U01, 1.0, theta)
-    H = mechanism.general_objective_hessian(quadratic_cost(), U01, 1.0, theta, q)
+    H = _objective_hessian(quadratic_cost(), U01, 1.0, theta, q)
     assert np.all(np.linalg.eigvalsh(H) < -1e-8)
 
 
