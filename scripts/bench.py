@@ -18,10 +18,12 @@ Runs, in the checkout at --root (default: the one this script sits in):
 It also records the code it measured: the line count of each module of
 ``src/copesim`` and their total, and a SHA-256 over those modules' names and
 contents, which names the code even when the tree has uncommitted changes.
-With them go the git SHA (and whether the tree has uncommitted changes), the
-platform, the numpy and scipy versions and ``os.cpu_count()``.  Wall
-times drift between runs on a shared machine; the work counts and hashes do
-not.  Usage: ``python3 scripts/bench.py LABEL [--root DIR] [--out DIR]``.
+With them goes what ``copesim run`` records in its manifest,
+``copesim.cli.environment`` of the measured checkout: its git SHA (and
+whether the tree has uncommitted changes), the platform, the Python, numpy
+and scipy versions and ``os.cpu_count()``.  Wall times drift between runs on
+a shared machine; the work counts and hashes do not.  Usage:
+``python3 scripts/bench.py LABEL [--root DIR] [--out DIR]``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ import glob
 import hashlib
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+
+from copesim.cli import environment  # noqa: E402
 
 #: the work counts quoted from the traced pass, by perfbench metric name
 WORK_COUNTS = ("rng.words", "mechanism.cubic_root.elements",
@@ -125,23 +129,6 @@ def source(root) -> dict:
         digest.update(name.encode() + b"\0" + data)
     return dict(src_lines=dict(lines, total=sum(lines.values())),
                 src_sha256=digest.hexdigest())
-
-
-def environment(root) -> dict:
-    import numpy
-    import scipy
-
-    def git(*args):
-        proc = subprocess.run(["git", *args], cwd=root, capture_output=True,
-                              text=True)
-        return proc.stdout.strip() if proc.returncode == 0 else None
-
-    status = git("status", "--porcelain", "--untracked-files=no")
-    return dict(git_sha=git("rev-parse", "HEAD"),
-                git_dirty=None if status is None else bool(status),
-                platform=platform.platform(),
-                python=platform.python_version(), numpy=numpy.__version__,
-                scipy=scipy.__version__, cpu_count=os.cpu_count())
 
 
 def main(argv=None) -> int:

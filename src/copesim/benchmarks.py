@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,13 +49,14 @@ def centralized_efforts(theta, cost_kind: str, var0: float) -> np.ndarray:
     raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
 
 
-def centralized_winner(theta, var0: float) -> Tuple[np.ndarray, np.ndarray]:
+def centralized_winner(theta, var0: float, rank=None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
     """The linear-cost first best of a (..., N) type array as (winner,
     effort): the cheapest agent, the lowest index on ties, exerts
-    max(theta^-1/2 - 1/var0, 0) and every other agent nothing."""
+    max(theta^-1/2 - 1/var0, 0) and every other agent nothing.  rank is
+    mechanism.rank_rows(theta) where the caller has it already."""
     theta = _positive_types(theta)
-    winner = np.argmin(theta, axis=-1)
-    th_w = np.take_along_axis(theta, winner[..., None], axis=-1)[..., 0]
+    winner, th_w, _ = mechanism.rank_rows(theta) if rank is None else rank
     return winner, np.maximum(th_w ** -0.5 - 1.0 / var0, 0.0)
 
 
@@ -179,50 +180,39 @@ def homogeneous_predict(contract: HomogeneousContract, reports, prior:
     dimensions of a (..., N) report array; a float for one vector.
     """
     reports = np.asarray(reports, dtype=float)
+    mu0, prec, q = prior.mu0, prior.precision, contract.q_dagger
     filed = ~np.isnan(reports)
-    out = _predict_filed(contract, reports, filed, filed.sum(axis=-1), prior,
-                         n_denominator)
+    m = filed.sum(axis=-1)
+    if q <= 0.0:
+        out = np.full(m.shape, mu0)
+    else:
+        g = reports + (reports - mu0) * (prec / q)
+        den = prec + (m if n_denominator is None else n_denominator) * q
+        dev = q * np.where(filed, g - mu0, 0.0).sum(axis=-1)
+        out = np.where(m > 0, mu0 + dev / np.where(den > 0, den, 1.0), mu0)
     return float(out) if out.ndim == 0 else out
 
 
-def _predict_filed(contract: HomogeneousContract, reports, filed, m,
-                   prior: GaussianPrior, n_denominator: Optional[int]):
-    """homogeneous_predict given the filed mask and its per-trial count m."""
-    mu0, prec, q = prior.mu0, prior.precision, contract.q_dagger
-    if q <= 0.0:
-        return np.full(m.shape, mu0)
-    g = reports + (reports - mu0) * (prec / q)
-    den = prec + (m if n_denominator is None else n_denominator) * q
-    dev = q * np.where(filed, g - mu0, 0.0).sum(axis=-1)
-    return np.where(m > 0, mu0 + dev / np.where(den > 0, den, 1.0), mu0)
-
-
-def homogeneous_settle_batch(contract: HomogeneousContract, x, reports,
-                             efforts, take, prior: GaussianPrior,
-                             n_denominator: Optional[int] = None
-                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The principal's side of the posted contract for a (T, N) block of
-    trials with latent states x (T,), each trial with a participant:
-    (prediction, payments, expected squared error).  take marks the
-    participants, whose reports count; each is paid alpha - beta (x -
-    report)^2.  The expected squared error is exact given the trial's
-    efforts and participation: the mis-specified aggregate is linear in the
-    latent state and the noises, each report weighted by c_m.  A trial
-    without a participant predicts mu0, pays nothing and errs by var0 under
-    either denominator; the caller fills those trials."""
-    var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
-    m = take.sum(axis=1)
-    prediction = _predict_filed(contract, reports, take, m, prior,
-                                n_denominator)
-    payments = np.where(
-        take, contract.alpha - contract.beta * (x[:, None] - reports) ** 2, 0.0)
+def homogeneous_settle(contract: HomogeneousContract, x, reports, efforts,
+                       totals: Callable, prior: GaussianPrior,
+                       n_denominator: Optional[int] = None) -> Tuple:
+    """A posted contract (q_dagger > 0) settled from the participants'
+    reports, efforts and trials' latent states x, totals(v) summing their
+    values v per trial: homogeneous_predict's prediction and the exact
+    expected squared error per trial (each report weighs c_m in the
+    aggregate), and each one's payment alpha - beta (x - report)^2."""
+    var0, mu0, prec = prior.var0, prior.mu0, prior.precision
+    q_dag = contract.q_dagger
+    m = totals(np.ones_like(reports))
     den = prec + (m if n_denominator is None else n_denominator) * q_dag
-    b = np.where(take, efforts / (prec + efforts), 0.0)
-    w = np.where(take, efforts / (prec + efforts) ** 2, 0.0)
-    c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
-    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
-        + c_m ** 2 * w.sum(axis=1)
-    return prediction, payments, expected_sq
+    den = np.where(den > 0, den, 1.0)
+    dev = q_dag * totals(reports + (reports - mu0) * (prec / q_dag) - mu0)
+    c_m = np.where(m > 0, (q_dag + prec) / den, 0.0)
+    risk = prec + efforts
+    expected_sq = var0 * (1.0 - c_m * totals(efforts / risk)) ** 2 \
+        + c_m ** 2 * totals(efforts / risk ** 2)
+    return (np.where(m > 0, mu0 + dev / den, mu0),
+            contract.alpha - contract.beta * (x - reports) ** 2, expected_sq)
 
 
 # -- principal's exact expected payoff and the opt-out decision ----------------

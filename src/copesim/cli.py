@@ -10,6 +10,8 @@ import argparse
 import csv
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 from dataclasses import asdict, replace
@@ -44,6 +46,29 @@ def write_results_csv(results, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(_result_rows(results))
+
+
+def environment(root: Optional[str] = None) -> Dict:
+    """Platform, Python, numpy, scipy, CPU count, and the git commit of root
+    (default: this package) and if it is dirty, None outside git."""
+    import numpy
+    import scipy
+    root = root or os.path.dirname(__file__)
+
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=root,
+                                  capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return dict(git_sha=git("rev-parse", "HEAD"),
+                git_dirty=None if status is None else bool(status),
+                platform=platform.platform(), python=platform.python_version(),
+                numpy=numpy.__version__, scipy=scipy.__version__,
+                cpu_count=os.cpu_count())
 
 
 def cmd_run(args) -> int:
@@ -91,6 +116,7 @@ def cmd_run(args) -> int:
         "version": __version__,
         "started_at": started_at,
         "elapsed_s": round(elapsed, 3),
+        "environment": environment(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:

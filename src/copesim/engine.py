@@ -19,11 +19,12 @@ Every stage after designate (observe, settle, metrics) works on the chunk's
 engaged agents, those that exert effort or file a report: the recruited
 winner under cope-linear and the linear planner, the takers of a posted
 contract, every agent otherwise.  Per-trial totals equal the (T, N) row
-sums bit for bit: a trial with one engaged agent takes its value, trials
-with more take numpy's row sum over a dense block of those trials.  Only
-run_trial builds the dense per-agent record.  Statistics merge fixed
-4 096-trial blocks of all metrics at once, so they do not depend on the
-chunk size either.
+sums bit for bit: each trial takes its engaged agent's value when none has
+two, numpy's row sum over a dense block of the engaged trials otherwise.
+Only the engaged agents' noise is converted to normals, and a chunk's types
+are ranked once.  Only run_trial builds the dense per-agent record.
+Statistics merge fixed 4 096-trial blocks of all metrics at once, so they
+do not depend on the chunk size either.
 """
 
 from __future__ import annotations
@@ -163,8 +164,32 @@ class _Cell:
     state: object = None
 
 
+class _Draws:
+    """One chunk's draws, shared by every mechanism at its N: latent states
+    x (T,), types (T, N) and the NOISE stream's raw words.  rank, the types'
+    mechanism.rank_rows, is computed on first use."""
+
+    def __init__(self, x: np.ndarray, types: np.ndarray, noise_words):
+        self.x, self.types, self._words = x, types, noise_words
+        self._normals: Optional[np.ndarray] = None
+
+    def noise(self, flat: Optional[np.ndarray]) -> np.ndarray:
+        """The noise at the sorted flat indices flat, converted alone, or of
+        the whole (T, N) chunk for flat None, cached for later subsets."""
+        if flat is None and self._normals is None:
+            self._normals = rng.words_to_normals(self._words)
+        if self._normals is None:
+            return rng.words_to_normals(self._words[flat])
+        return self._normals.reshape(self.types.shape) if flat is None \
+            else self._normals[flat]
+
+    @functools.cached_property
+    def rank(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return mechanism.rank_rows(self.types)
+
+
 def _draw_chunk(scenario: Scenario, seed: int, t0: int, t1: int,
-                settings: EngineSettings):
+                settings: EngineSettings) -> _Draws:
     n = scenario.n_agents
     T = t1 - t0
     prior = scenario.prior
@@ -178,8 +203,7 @@ def _draw_chunk(scenario: Scenario, seed: int, t0: int, t1: int,
         u = rng.uniforms(seed, n, rng.TYPES, T * n, t0 * n).reshape(T, n)
         dist = scenario.type_dist
         types = np.clip(dist.ppf(u), dist.theta_lo + TYPE_CLAMP, dist.theta_hi)
-    noise = rng.normals(seed, n, rng.NOISE, T * n, t0 * n).reshape(T, n)
-    return x, types, noise
+    return _Draws(x, types, rng.raw_words(seed, n, rng.NOISE, T * n, t0 * n))
 
 
 class _Engaged:
@@ -210,49 +234,33 @@ class _Engaged:
         return v[:, None] if self.flat is None else v[self.rows]
 
     @functools.cached_property
-    def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The trials with an engaged agent, in order, each engaged entry's
-        index into them and each trial's engaged count, read off the
-        sorted rows."""
+    def _block(self):
+        """None when no trial has two engaged agents, else the dense-block
+        layout of the trials with one: each entry's block row, and the
+        block's trials."""
         start = np.empty(self.rows.size, dtype=bool)
         start[:1] = True
         np.not_equal(self.rows[1:], self.rows[:-1], out=start[1:])
-        size = np.diff(np.append(np.flatnonzero(start), start.size))
-        return self.rows[start], np.cumsum(start, dtype=self._index) - 1, size
-
-    @functools.cached_property
-    def _split(self):
-        """The entries alone in their trial, and the dense-block layout of
-        the rest: their block rows and columns and the block's trials."""
-        trials, run, size = self.runs
-        crowded = size > 1
-        alone = ~crowded[run]
-        block_row = (np.cumsum(crowded, dtype=self._index) - 1)[run[~alone]]
-        return alone, self.rows[alone], block_row, self.cols[~alone], \
-            trials[crowded]
+        if start.all():
+            return None
+        return np.cumsum(start, dtype=self._index) - 1, self.rows[start]
 
     def totals(self, v: np.ndarray) -> np.ndarray:
-        """Per-trial sums of the engaged values v.  A trial with one engaged
-        agent takes its value; trials with more take numpy's row sum over a
-        dense block of those trials, which keeps the association of the
+        """Per-trial sums of the engaged values v.  When no trial has two
+        engaged agents each takes its value; otherwise numpy's row sum over
+        a dense block of the trials with one keeps the association of the
         (T, N) row sum."""
         if self.flat is None:
             return v.sum(axis=1)
-        alone, alone_rows, block_row, block_col, block_trials = self._split
         out = np.zeros(self.shape[0])
-        out[alone_rows] = v[alone]
-        if block_trials.size:
-            block = np.zeros((block_trials.size, self.shape[1]))
-            block[block_row, block_col] = v[~alone]
-            out[block_trials] = block.sum(axis=1)
+        if self._block is None:
+            out[self.rows] = v
+            return out
+        block_row, trials = self._block
+        block = np.zeros((trials.size, self.shape[1]))
+        block[block_row, self.cols] = v
+        out[trials] = block.sum(axis=1)
         return out
-
-    def count(self, mask: np.ndarray) -> np.ndarray:
-        """Per-trial count of the engaged entries where mask holds."""
-        if self.flat is None:
-            return mask.sum(axis=1).astype(float)
-        return np.bincount(self.rows[mask],
-                           minlength=self.shape[0]).astype(float)
 
     def dense(self, v, fill) -> np.ndarray:
         """A (T, N) array holding v at the engaged entries, fill elsewhere."""
@@ -295,55 +303,61 @@ def _finish_metrics(scenario: Scenario, x, eng: _Engaged, types, efforts,
     total_pay = eng.totals(payments)
     total_cost = eng.totals(cost(scenario.cost_model, efforts, types))
     risk = 1.0 / (prior.precision + eng.totals(efforts))
-    metrics = {
-        "principal_payoff": -err - total_pay,
-        "network_profit": -err - total_cost,
-        "bayes_network_profit": -risk - total_cost,
-        "prediction_sq_error": err,
-        "expected_sq_error": risk if expected_sq is None else expected_sq,
-        "total_payment": total_pay,
-        "total_cost": total_cost,
-        "positive_effort_count": eng.count(efforts > 0),
-    }
-    return np.stack([metrics[k] for k in METRICS])
+    out = np.empty((len(METRICS), x.size))
+    row = dict(zip(METRICS, out))
+    np.subtract(-err, total_pay, out=row["principal_payoff"])
+    np.subtract(-err, total_cost, out=row["network_profit"])
+    np.subtract(-risk, total_cost, out=row["bayes_network_profit"])
+    row["prediction_sq_error"][:] = err
+    row["expected_sq_error"][:] = risk if expected_sq is None else expected_sq
+    row["total_payment"][:] = total_pay
+    row["total_cost"][:] = total_cost
+    row["positive_effort_count"][:] = eng.totals((efforts > 0).astype(float))
+    return out
 
 
 # -- mechanisms: designate and settle steps ------------------------------------
 #
-# designate(cell, types, t0) -> (reported types or None, engaged, efforts,
-# terms): engaged holds the sorted flat indices of the agents that exert
-# effort or file a report, or is None for every agent, and efforts and terms
-# are theirs.  settle(cell, x, eng, efforts, obs, est, terms) -> (prediction,
-# payments, expected squared error or None for the Bayes risk, reports shown
-# in the record, the report of an idle agent), on the engaged agents: idle
-# agents report the prior mean under COPE and nothing (NaN) otherwise.  The
-# COPE steps designate from the reported types; their terms are the transfer
-# components and designated efforts (pi, K, S, q).  cope-linear engages the
-# winners with positive effort, the only agents it pays.
+# designate(cell, draws, t0) -> (reported types or None, engaged, efforts,
+# terms) from the chunk's _Draws: engaged holds the sorted flat indices of
+# the agents that exert effort or file a report, or is None for every
+# agent, and efforts and terms are theirs.  settle(cell, x, eng, efforts,
+# obs, est, terms) -> (prediction, payments, expected squared error or None
+# for the Bayes risk, reports shown in the record, the report of an idle
+# agent), on the engaged agents: idle agents report the prior mean under
+# COPE and nothing (NaN) otherwise.  The COPE steps designate from the
+# reported types; their terms are the transfer components and designated
+# efforts (pi, K, S, q).  cope-linear engages the winners with positive
+# effort, the only agents it pays.
 
-def _designate_cope_linear(cell: _Cell, reported, t0):
+def _designate_cope_linear(cell: _Cell, draws: _Draws, t0):
+    """Truthful reports are the types: the chunk's ranking of the types
+    gives the winner, its report and the runner-up, its rent tail's end."""
     dist, tie_break = cell.scenario.type_dist, cell.settings.tie_break
+    reported = draws.types
     T, n = reported.shape
     winner = mechanism.argmin_winner_batch(
         reported, tie_break, rng.uniforms(cell.seed, n, rng.TIEBREAK, T, t0)
-        if tie_break == "seeded-random" else None)
-    terms = mechanism.linear_components_batch(
-        reported, winner, dist.theta_lo, dist.theta_hi, cell.scenario.prior.var0)
+        if tie_break == "seeded-random" else None, draws.rank)
+    _, lowest, second = draws.rank
+    terms = mechanism.linear_winner_components(
+        lowest, np.minimum(dist.theta_hi, second), dist.theta_lo,
+        cell.scenario.prior.var0)
     live = np.flatnonzero(terms[3] > 0.0)
     pi, K, S, q = (t[live] for t in terms)
     return reported, live * n + winner[live], q, (pi, K, S, q)
 
 
-def _designate_cope_quadratic(cell: _Cell, reported, t0):
-    dist = cell.scenario.type_dist
+def _designate_cope_quadratic(cell: _Cell, draws: _Draws, t0):
+    dist, reported = cell.scenario.type_dist, draws.types
     terms = mechanism.quadratic_components_batch(
         reported, dist.theta_lo, dist.theta_hi, cell.scenario.prior.var0)
     return reported, None, terms[3], terms
 
 
-def _designate_cope_general(cell: _Cell, reported, t0):
+def _designate_cope_general(cell: _Cell, draws: _Draws, t0):
     """Numeric efforts and transfers, one report vector at a time."""
-    scenario = cell.scenario
+    scenario, reported = cell.scenario, draws.types
     pi, K, S, q = (np.empty_like(reported) for _ in range(4))
     for t, theta_hat in enumerate(reported):
         try:
@@ -374,12 +388,13 @@ def _settle_cope(cell: _Cell, x, eng, efforts, obs, est, terms):
     return prediction, payments, None, est, prior.mu0
 
 
-def _designate_centralized(cell: _Cell, types, t0):
+def _designate_centralized(cell: _Cell, draws: _Draws, t0):
     """The planner knows the types and assigns the first-best efforts; under
     linear cost only the cheapest agent works."""
     kind, var0 = cell.scenario.cost_kind, cell.scenario.prior.var0
+    types = draws.types
     if kind == LINEAR:
-        winner, q = benchmarks.centralized_winner(types, var0)
+        winner, q = benchmarks.centralized_winner(types, var0, draws.rank)
         live = np.flatnonzero(q > 0.0)
         return None, live * types.shape[1] + winner[live], q[live], None
     return None, None, benchmarks.centralized_efforts(types, kind, var0), None
@@ -394,7 +409,7 @@ def _settle_centralized(cell: _Cell, x, eng, efforts, obs, est, terms):
     return num / den, np.zeros_like(efforts), 1.0 / den, obs, NO_OBSERVATION
 
 
-def _designate_homogeneous(cell: _Cell, types, t0):
+def _designate_homogeneous(cell: _Cell, draws: _Draws, t0):
     """Agents who take the posted contract best-respond to its reward; they
     are the engaged agents, a taker at zero effort included.  Responses are
     evaluated only at types at or below the cell's cut, above which nobody
@@ -402,35 +417,25 @@ def _designate_homogeneous(cell: _Cell, types, t0):
     contract, posted, _, cut = cell.state
     if not posted:
         return None, np.empty(0, dtype=np.intp), np.empty(0), None
-    low = np.flatnonzero(types <= cut)
+    low = np.flatnonzero(draws.types <= cut)
     q, take = benchmarks.homogeneous_response_batch(
-        types.reshape(-1)[low], contract, cell.scenario.cost_kind,
+        draws.types.reshape(-1)[low], contract, cell.scenario.cost_kind,
         cell.scenario.prior.var0)
     return None, low[take], q[take], None
 
 
 def _settle_homogeneous(cell: _Cell, x, eng, efforts, obs, est, terms):
-    """The posted contract settled on a dense block of the trials with a
-    participant; every other trial (all of them when the principal opts
-    out) predicts the prior mean, pays nothing and errs by var0."""
+    """The posted contract settled from the participants' arrays; a trial
+    without one (every trial when the principal opts out) predicts the prior
+    mean, pays nothing and errs by var0.  Only participants file a report."""
     prior = cell.scenario.prior
     contract, _, n_den, _ = cell.state
-    prediction = np.full(x.size, prior.mu0)
-    expected_sq = np.full(x.size, prior.var0)
     if not eng.flat.size:
-        return prediction, np.zeros(0), expected_sq, est, np.nan
-    trials, at, col = eng.runs[0], eng.runs[1], eng.cols
-    block = (trials.size, eng.shape[1])
-    take = np.zeros(block, dtype=bool)
-    take[at, col] = True
-    reports = np.full(block, np.nan)   # only participants file a report
-    reports[at, col] = est
-    q = np.zeros(block)
-    q[at, col] = efforts
-    prediction[trials], payments, expected_sq[trials] = \
-        benchmarks.homogeneous_settle_batch(contract, x[trials], reports, q,
-                                            take, prior, n_den)
-    return prediction, payments[at, col], expected_sq, est, np.nan
+        return np.full(x.size, prior.mu0), np.zeros(0), \
+            np.full(x.size, prior.var0), est, np.nan
+    return (*benchmarks.homogeneous_settle(contract, eng.at_trial(x), est,
+                                           efforts, eng.totals, prior, n_den),
+            est, np.nan)
 
 
 _STEPS = {
@@ -494,22 +499,21 @@ class _Stages:
                     payments=eng.dense(self.payments, 0.0))
 
 
-def _run_mechanism(cell: _Cell, draws, t0: int):
+def _run_mechanism(cell: _Cell, draws: _Draws, t0: int):
     """One mechanism on one chunk's draws: designate, then observe, settle
     and score the engaged agents only.  Returns (metrics, stages)."""
-    scenario = cell.scenario
-    x, types, noise = draws
+    scenario, x = cell.scenario, draws.x
     designate, settle = _STEPS[cell.mech.kind]
-    reported, flat, efforts, terms = designate(cell, types, t0)
-    eng = _Engaged(types.shape, flat)
-    obs, est = _observe(eng.at_trial(x), efforts, eng.take(noise),
+    reported, flat, efforts, terms = designate(cell, draws, t0)
+    eng = _Engaged(draws.types.shape, flat)
+    obs, est = _observe(eng.at_trial(x), efforts, draws.noise(flat),
                         scenario.prior)
     prediction, payments, expected_sq, reports, fill = settle(
         cell, x, eng, efforts, obs, est, terms)
-    metrics = _finish_metrics(scenario, x, eng, eng.take(types), efforts,
-                              prediction, payments, expected_sq)
-    return metrics, _Stages(x, types, reported, eng, efforts, obs, reports,
-                            fill, prediction, payments)
+    metrics = _finish_metrics(scenario, x, eng, eng.take(draws.types),
+                              efforts, prediction, payments, expected_sq)
+    return metrics, _Stages(x, draws.types, reported, eng, efforts, obs,
+                            reports, fill, prediction, payments)
 
 
 def _chunks(scenario: Scenario, mechs: Sequence[MechanismSpec], seed: int,

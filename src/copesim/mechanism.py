@@ -35,16 +35,37 @@ class SolverError(RuntimeError):
 # effort rules: report vector -> designated efforts
 # ---------------------------------------------------------------------------
 
+def rank_rows(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(winner, lowest, runner-up) of each row of a (..., N) array: np.argmin
+    (the lowest index on ties), the min and np.partition(theta, 1)[..., 1]
+    (inf for N = 1), for entries that are not NaN.  One pass over the
+    columns of a transposed copy; the values are selected, so exact."""
+    theta = np.asarray(theta, dtype=float)
+    lead, n = theta.shape[:-1], theta.shape[-1]
+    cols = np.ascontiguousarray(theta.reshape(-1, n).T)
+    lowest = cols[0].copy()
+    winner = np.zeros(lowest.size, dtype=np.intp)
+    second = np.full(lowest.size, np.inf)
+    for j, c in enumerate(cols[1:], 1):
+        # the runner-up is the old one or whichever of lowest, c stays above
+        np.minimum(second, np.maximum(lowest, c), out=second)
+        np.putmask(winner, c < lowest, j)
+        np.minimum(lowest, c, out=lowest)
+    return winner.reshape(lead), lowest.reshape(lead), second.reshape(lead)
+
+
 def argmin_winner_batch(theta_hat: np.ndarray, tie_break: str = "lowest-index",
-                        tie_uniforms: Optional[np.ndarray] = None) -> np.ndarray:
+                        tie_uniforms: Optional[np.ndarray] = None,
+                        rank=None) -> np.ndarray:
     """Recruited agent under linear cost, the lowest report, of every row of a
     (T, N) report array; ties go to the lowest index, or with tie_break =
-    "seeded-random" to the tied entry that the uniform tie_uniforms[t] picks."""
-    winner = np.argmin(theta_hat, axis=1)
+    "seeded-random" to the tied entry that the uniform tie_uniforms[t] picks.
+    rank is rank_rows(theta_hat) where the caller has it already."""
+    winner, lowest, second = rank_rows(theta_hat) if rank is None else rank
     if tie_break == "lowest-index" or tie_uniforms is None:
         return winner
-    lowest = theta_hat[np.arange(theta_hat.shape[0]), winner]
-    for t in np.flatnonzero((theta_hat == lowest[:, None]).sum(axis=1) > 1):
+    winner = winner.copy()      # rank may be shared
+    for t in np.flatnonzero(second == lowest):
         ties = np.flatnonzero(theta_hat[t] == lowest[t])
         winner[t] = ties[min(int(tie_uniforms[t] * ties.size), ties.size - 1)]
     return winner
@@ -210,7 +231,8 @@ def linear_winner_components(theta_win, tail_upper, theta_lo: float,
     report and the upper limit of its rent tail (the lowest rival report,
     capped at theta_hi); all 0 where the designated effort q is 0.  pi is the
     cost theta*q plus the closed-form tail, verified against linear_pi_quad
-    in tests.  Vectorized over broadcastable arrays."""
+    in tests.  Vectorized over broadcastable arrays, such as the lowest and
+    runner-up reports of rank_rows, whichever tied entry wins."""
     th = np.asarray(theta_win, dtype=float)
     g = 2.0 * th - theta_lo
     q = linear_effort_at(th, theta_lo, var0)
@@ -221,32 +243,16 @@ def linear_winner_components(theta_win, tail_upper, theta_lo: float,
             q)
 
 
-def linear_components_batch(theta_hat: np.ndarray, winner: np.ndarray,
-                            theta_lo: float, theta_hi: float, var0: float
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For a (T, N) report array with winner[t] the recruited agent of row t:
-    the winners' (pi, K, S, q), each of shape (T,) and 0 where the
-    designated effort q is 0.  Every other agent's effort is 0.  Only the
-    winner is paid, and its rent tail runs up to the second-lowest report.
-    Fast path used by the simulation engine."""
-    T, n = theta_hat.shape
-    second = np.partition(theta_hat, 1, axis=1)[:, 1] if n > 1 else \
-        np.full(T, np.inf)
-    return linear_winner_components(
-        theta_hat[np.arange(T), winner], np.minimum(theta_hi, second),
-        theta_lo, var0)
-
-
 def payment_rule_linear(theta_hat, theta_lo: float, theta_hi: float,
                         var0: float) -> PaymentRule:
-    """Transfers under linear cost, one row of linear_components_batch: only
-    the winner (the lowest index on ties) is paid, and the rule is
-    identically zero if its designated effort clamps to 0."""
+    """Transfers under linear cost: only the winner (the lowest index on
+    ties) is paid, its rent tail running up to the second-lowest report,
+    and the rule is identically zero if its designated effort clamps to 0."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     _virtual_costs(theta_hat, theta_lo)       # every virtual cost positive
-    winner = theta_hat.argmin()
-    terms = linear_components_batch(theta_hat[None], np.array([winner]),
-                                    theta_lo, theta_hi, var0)
+    winner, lowest, second = rank_rows(theta_hat)
+    terms = linear_winner_components(lowest, np.minimum(theta_hi, second),
+                                     theta_lo, var0)
     pi, K, S, q = (np.where(np.arange(theta_hat.size) == winner, t, 0.0)
                    for t in terms)
     return PaymentRule(pi=pi, K=K, S=S, efforts=q)

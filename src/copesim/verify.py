@@ -283,9 +283,10 @@ SUITES: Dict[str, Callable[..., List[Check]]] = {
 def run_suite(name: str, **kwargs) -> List[Check]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    for count in ("n_instances", "n_mc"):
-        if count in kwargs and kwargs[count] < 1:
-            raise ValueError(f"{count} must be >= 1, got {kwargs[count]}")
+    # the Monte-Carlo checks judge by a standard error, which needs 2 draws
+    for key, least in (("n_instances", 1), ("n_mc", 2)):
+        if kwargs.get(key, least) < least:
+            raise ValueError(f"{key} must be >= {least}, got {kwargs[key]}")
     return SUITES[name](**kwargs)
 
 

@@ -396,7 +396,8 @@ def test_cut_designate_matches_full_response(kind, td, var0, n):
                     else quadratic_cost())
     cell = engine._Cell(scen, engine.homogeneous_spec(td), 0,
                         engine.EngineSettings(), (contract, True, None, cut))
-    _, flat, q, _ = engine._designate_homogeneous(cell, types, 0)
+    draws = engine._Draws(np.zeros(types.shape[0]), types, None)
+    _, flat, q, _ = engine._designate_homogeneous(cell, draws, 0)
     engaged = engine._Engaged(types.shape, flat)
     efforts, take = engaged.dense(q, 0.0), engaged.dense(True, False)
     want_q, want_take = _full_response(types, contract, kind, var0)
@@ -415,9 +416,10 @@ def test_cut_is_finite_where_the_sweep_needs_it():
                 assert B.homogeneous_type_cut(c, u01, 1.0, kind) < 1.0
 
 
-def _designate_full(cell, types, t0):
+def _designate_full(cell, draws, t0):
     """The engine's designate step with every type evaluated and every
     agent engaged; the terms are who takes the contract."""
+    types = draws.types
     contract, posted, _, _ = cell.state
     if not posted:
         return None, None, np.zeros_like(types), \
@@ -437,6 +439,14 @@ def _settle_full(cell, x, eng, efforts, obs, est, take):
     if not posted:
         return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
             np.full(x.size, prior.var0), reports, np.nan
+    return (*_dense_settle(contract, x, reports, efforts, take, prior, n_den),
+            reports, np.nan)
+
+
+def _dense_settle(contract, x, reports, efforts, take, prior, n_den):
+    """(prediction, payments, expected squared error) of (T, N) arrays:
+    homogeneous_predict and the expected-squared-error formula over every
+    agent, zeros where nobody takes the contract."""
     var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
     prediction = B.homogeneous_predict(contract, reports, prior, n_den)
     payments = np.where(
@@ -448,7 +458,34 @@ def _settle_full(cell, x, eng, efforts, obs, est, take):
     c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
     expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
         + c_m ** 2 * w.sum(axis=1)
-    return prediction, payments, expected_sq, reports, np.nan
+    return prediction, payments, expected_sq
+
+
+@pytest.mark.parametrize("n_den", [None, 12])
+@pytest.mark.parametrize("kind,var0", [(LINEAR, 1.0), (QUADRATIC, 4.0)])
+def test_flat_settle_matches_the_dense_settle(kind, var0, n_den):
+    # the settle from the takers' flat arrays equals the dense (T, N)
+    # evaluation bit for bit, on trials with 0, 1, 2, 8 and 12 takers and
+    # takers at zero effort
+    N, prior = 12, GaussianPrior(0.3, var0)
+    contract = B.homogeneous_contract(0.4, N, kind, var0)
+    gen = np.random.default_rng(11)
+    counts = np.repeat([0, 1, 2, 8, 12], 40)
+    take = np.argsort(gen.random((counts.size, N)), axis=1) < counts[:, None]
+    efforts = np.where(gen.random(take.shape) < 0.1, 0.0,
+                       gen.uniform(0.0, 3.0, take.shape))
+    est = gen.normal(0.3, 1.0, take.shape)
+    x = gen.normal(0.3, 1.0, counts.size)
+    eng = engine._Engaged(take.shape, np.flatnonzero(take))
+    got = B.homogeneous_settle(contract, eng.at_trial(x), eng.take(est),
+                               eng.take(efforts), eng.totals, prior, n_den)
+    want = _dense_settle(contract, x, np.where(take, est, np.nan), efforts,
+                         take, prior, n_den)
+    for g, w in zip(got, (want[0], eng.take(want[1]), want[2])):
+        assert np.array_equal(g, w)
+        assert np.all(np.signbit(g) == np.signbit(w))
+    assert np.all(got[0][counts == 0] == 0.3)
+    assert np.all(got[2][counts == 0] == var0)
 
 
 @pytest.mark.parametrize("denominator", ["participants", "full-n"])

@@ -7,9 +7,11 @@ import os
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import scipy
 
-from copesim import cli
+from copesim import cli, verify
 from copesim.mechanism import SolverError
 from copesim.config import (ConfigError, ExperimentConfig, _parse_int_list,
                             load_config, parse_config, save_config,
@@ -152,8 +154,11 @@ def test_cli_run_writes_results_and_manifest(tmp_path):
     assert len(rows) == 1 + 80
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    assert set(manifest) == {"config", "elapsed_s", "seed", "started_at",
-                             "version"}
+    assert set(manifest) == {"config", "elapsed_s", "environment", "seed",
+                             "started_at", "version"}
+    env = manifest["environment"]
+    assert {"platform", "python", "numpy", "scipy", "git_sha"} <= set(env)
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     assert manifest["seed"] == 0
     config = manifest["config"]
     assert config["n_agents_list"] == [2, 3]
@@ -261,8 +266,20 @@ def test_cli_verify_bic_rejects_zero_mc(capsys):
     rc = cli.main(["verify", "bic", "--mc", "0"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.strip() == "error: n_mc must be >= 1, got 0"
+    assert captured.err.strip() == "error: n_mc must be >= 2, got 0"
     assert "result:" not in captured.out
+
+
+def test_cli_verify_bic_rejects_one_mc_draw(capsys):
+    # a paired standard error needs two draws; one gave a FAIL on an
+    # infinite gap, exit 1
+    rc = cli.main(["verify", "bic", "--mc", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip() == "error: n_mc must be >= 2, got 1"
+    assert "result:" not in captured.out
+    with pytest.raises(ValueError, match="n_mc must be >= 2"):
+        verify.run_suite("bir", n_mc=1)
 
 
 def test_cli_verify_cubic(capsys):

@@ -137,8 +137,12 @@ def _designate_dense(cell, reported, t0):
         winner = mechanism.argmin_winner_batch(
             reported, tie, rng.uniforms(cell.seed, n, rng.TIEBREAK, T, t0)
             if tie == "seeded-random" else None)
-        pi, K, S, q_w = mechanism.linear_components_batch(
-            reported, winner, dist.theta_lo, dist.theta_hi, var0)
+        # the lowest report and the runner-up, by min and partition
+        second = np.partition(reported, 1, axis=1)[:, 1] if n > 1 else \
+            np.full(T, np.inf)
+        pi, K, S, q_w = mechanism.linear_winner_components(
+            reported.min(axis=1), np.minimum(dist.theta_hi, second),
+            dist.theta_lo, var0)
         q = np.zeros_like(reported)
         q[np.arange(T), winner] = q_w
         return q, (pi, K, S, q)
@@ -189,15 +193,21 @@ def _settle_dense(cell, x, obs, est, efforts, terms):
     if not posted:
         return np.full(x.size, prior.mu0), np.zeros_like(efforts), \
             np.full(x.size, prior.var0), reports
-    # trials without a participant predict mu0, pay nothing and err by var0
-    rows = terms.any(axis=1)
-    prediction = np.full(x.size, prior.mu0)
-    payments = np.zeros_like(efforts)
-    expected_sq = np.full(x.size, prior.var0)
-    prediction[rows], payments[rows], expected_sq[rows] = \
-        benchmarks.homogeneous_settle_batch(contract, x[rows], reports[rows],
-                                            efforts[rows], terms[rows], prior,
-                                            n_den)
+    # every trial at once: one without a participant predicts mu0, pays
+    # nothing and errs by var0
+    var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
+    prediction = benchmarks.homogeneous_predict(contract, reports, prior,
+                                                n_den)
+    payments = np.where(
+        terms, contract.alpha - contract.beta * (x[:, None] - reports) ** 2,
+        0.0)
+    m = terms.sum(axis=1)
+    den = prec + (m if n_den is None else n_den) * q_dag
+    b = np.where(terms, efforts / (prec + efforts), 0.0)
+    w = np.where(terms, efforts / (prec + efforts) ** 2, 0.0)
+    c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
+    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
+        + c_m ** 2 * w.sum(axis=1)
     return prediction, payments, expected_sq, reports
 
 
@@ -221,8 +231,11 @@ def _finish_metrics_dense(scenario, x, types, efforts, prediction, payments,
 
 
 def _dense_oracle(cell, draws, t0):
-    """(metrics, record) of one chunk through the dense pipeline."""
-    x, types, noise = draws
+    """(metrics, record) of one chunk through the dense pipeline, whose
+    noise is every normal of the chunk's stream positions."""
+    x, types = draws.x, draws.types
+    T, n = types.shape
+    noise = rng.normals(cell.seed, n, rng.NOISE, T * n, t0 * n).reshape(T, n)
     cope = cell.mech.kind.startswith("cope")
     efforts, terms = _designate_dense(cell, types, t0)
     obs, est = _observe_dense(x, efforts, noise, cell.scenario.prior)
@@ -318,7 +331,7 @@ def _compare_with_dense_oracle(kind, var0):
                     _assert_same_bits(record[k], want_r[k], (k,) + what)
                 eng = stages.engaged
                 if eng.flat is not None and eng.flat.size:
-                    if n >= 8 and eng.runs[2].max() >= 3:
+                    if n >= 8 and np.bincount(eng.rows).max() >= 3:
                         seen.add("three or more engaged")
                     if np.any(stages.efforts == 0.0):
                         seen.add("zero-effort taker")
@@ -337,12 +350,10 @@ def test_engaged_pipeline_matches_dense_oracle_on_ties_and_general(types):
             cells.append(engine._Cell(
                 scen, COPE_GENERAL, 5, settings,
                 engine._cell_state(scen, COPE_GENERAL, settings)))
-            n_trials = 40
-            draws = engine._draw_chunk(scen, 5, 0, n_trials, settings)
             for cell in cells:
-                if cell.mech.kind == "cope-general":
-                    # a numeric solve per trial: a few trials suffice
-                    draws = tuple(d[:3] for d in draws)
+                # cope-general: a numeric solve per trial, a few suffice
+                n_trials = 3 if cell.mech.kind == "cope-general" else 40
+                draws = engine._draw_chunk(scen, 5, 0, n_trials, settings)
                 metrics, stages = engine._run_mechanism(cell, draws, 0)
                 want_m, want_r = _dense_oracle(cell, draws, 0)
                 for k, got in zip(METRICS, metrics):
@@ -350,6 +361,31 @@ def test_engaged_pipeline_matches_dense_oracle_on_ties_and_general(types):
                 record = stages.record()
                 for k in record:
                     _assert_same_bits(record[k], want_r[k], (k, cell.mech))
+
+
+def test_chunk_noise_is_the_stream_at_the_engaged_positions():
+    # the noise of any engaged subset, converted alone or read from the
+    # whole chunk's cached conversion, is rng.normals at those stream
+    # positions bit for bit
+    n, t0, T = 7, 300, 500
+    draws = engine._draw_chunk(_oracle_scenario(LINEAR, n), 9, t0, t0 + T,
+                               EngineSettings())
+    stream = rng.normals(9, n, rng.NOISE, T * n, t0 * n)
+    # the stream itself: Philox keyed by the SeedSequence of its key parts
+    philox = np.random.Philox(np.random.SeedSequence((9, n, rng.NOISE)))
+    philox.advance(t0 * n // 4)     # four words per counter block
+    assert np.array_equal(rng.raw_words(9, n, rng.NOISE, T * n, t0 * n),
+                          philox.random_raw(T * n))
+    gen = np.random.default_rng(2)
+    subsets = [np.flatnonzero(gen.random(T * n) < p)
+               for p in (0.0, 0.01, 0.5)] + [np.arange(T * n)]
+    for flat in subsets:
+        _assert_same_bits(draws.noise(flat), stream[flat], flat.size)
+    dense = draws.noise(None)
+    _assert_same_bits(dense, stream.reshape(T, n), "dense")
+    assert np.shares_memory(draws.noise(None), dense)     # cached
+    for flat in subsets:
+        _assert_same_bits(draws.noise(flat), stream[flat], flat.size)
 
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])

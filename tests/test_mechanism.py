@@ -73,6 +73,60 @@ def test_argmin_winner_tie_breaking():
         mechanism.effort_linear([], 0.0, 1.0)
 
 
+def _seeded_winner(theta, u):
+    """The seeded-random tie-break by argmin and an equality count."""
+    winner = np.argmin(theta, axis=1)
+    lowest = theta[np.arange(len(theta)), winner]
+    for t in np.flatnonzero((theta == lowest[:, None]).sum(axis=1) > 1):
+        ties = np.flatnonzero(theta[t] == lowest[t])
+        winner[t] = ties[min(int(u[t] * ties.size), ties.size - 1)]
+    return winner
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 19])
+def test_rank_rows_matches_argmin_and_partition(n):
+    # winner, lowest and runner-up equal np.argmin, the min and
+    # np.partition(., 1) bit for bit, on general rows and on rows drawn
+    # from three values, where the lowest is often tied; the winner and
+    # the linear terms read from the ranking keep both tie-breaks
+    gen = np.random.default_rng(n)
+    T = 600
+    general = gen.uniform(1e-6, 1.0, (T, n))
+    tied = gen.integers(1, 4, (T, n)) / 4.0
+    for theta in (general, tied):
+        winner, lowest, second = mechanism.rank_rows(theta)
+        want_second = np.partition(theta, 1, axis=1)[:, 1] if n > 1 else \
+            np.full(T, np.inf)
+        assert np.array_equal(winner, np.argmin(theta, axis=1))
+        assert np.array_equal(lowest, theta.min(axis=1))
+        assert np.array_equal(second, want_second)
+        # leading dimensions and a single vector rank alike
+        stacked = mechanism.rank_rows(theta.reshape(2, T // 2, n))
+        for got, want in zip(stacked, (winner, lowest, second)):
+            assert np.array_equal(got, want.reshape(2, T // 2))
+        assert [float(v) for v in mechanism.rank_rows(theta[0])] == \
+            [winner[0], lowest[0], second[0]]
+
+        rank = (winner, lowest, second)
+        u = gen.random(T)
+        assert np.array_equal(mechanism.argmin_winner_batch(
+            theta, "lowest-index", u, rank), np.argmin(theta, axis=1))
+        assert np.array_equal(mechanism.argmin_winner_batch(
+            theta, "seeded-random", u, rank), _seeded_winner(theta, u))
+        assert np.array_equal(winner, np.argmin(theta, axis=1))  # not moved
+        # one report vector's rule: the winner paid up to the runner-up
+        for t in range(20):
+            rule = mechanism.payment_rule_linear(theta[t], 0.0, 0.9, 1.0)
+            terms = mechanism.linear_winner_components(
+                theta[t].min(), min(0.9, want_second[t]), 0.0, 1.0)
+            at = np.arange(n) == np.argmin(theta[t])
+            for got, want in zip((rule.pi, rule.K, rule.S, rule.efforts),
+                                 terms):
+                assert np.array_equal(got, np.where(at, want, 0.0))
+    if n > 1:
+        assert np.any(second == lowest)     # the tied rows did tie
+
+
 # -- aggregate-precision cubic ------------------------------------------------
 
 def test_cubic_root_unit_cases():

@@ -98,7 +98,8 @@ def test_unit_effort_noise_variance():
                     type_dist=CostTypeDistribution.uniform(0.0, 1.0),
                     n_agents=2, cost_model=linear_cost())
     settings = engine.EngineSettings()
-    x, _, noise = engine._draw_chunk(scen, 42, 10, 50_010, settings)
+    draws = engine._draw_chunk(scen, 42, 10, 50_010, settings)
+    x, noise = draws.x, draws.noise(None)
     stream = rng.normals(42, 2, rng.NOISE, 100_000, offset=20)
     assert np.array_equal(noise.ravel(), stream)
     obs, _ = engine._observe(x[:, None], np.ones_like(noise), noise,
@@ -126,9 +127,9 @@ def test_draw_world_is_deterministic_and_clamped():
     # a type distribution whose ppf reaches theta_lo is clamped just above it
     atom = CostTypeDistribution.custom(0.0, 1.0, cdf=_cdf_atom_at_lo,
                                        pdf=_pdf_atom_at_lo, validate=False)
-    _, types, _ = engine._draw_chunk(
+    types = engine._draw_chunk(
         Scenario(scen.prior, atom, 4, linear_cost()), 3, 0, 50,
-        engine.EngineSettings())
+        engine.EngineSettings()).types
     assert types.min() == TYPE_CLAMP and types.max() <= 1.0
 
 
