@@ -6,7 +6,17 @@ optimality reasoning, so incentive checks run through an independent route.
 The inner expectation over the latent state and the agent's own noise is
 analytic (E[(x - report)^2 | q] = 1/(1/var0 + q) under truthful reporting);
 Monte-Carlo is only over rival types, with common random numbers across
-candidate reports.
+candidate reports.  A candidate's payoff depends on a draw only through one
+summary of it: the lowest rival report under linear cost, the rivals' summed
+inverse virtual costs under quadratic cost.
+
+best_response_type sorts the draws by that summary.  A linear candidate is
+paid only on the draws where it undercuts every rival, a suffix of the
+sorted draws (none if its effort clamps to 0), and is scored only there; a
+quadratic candidate is paid on every draw.  Each row's mean, standard error
+and paired standard error add the exact zeros of its unpaid draws, so they
+are those of the dense (candidates, draws) payoff matrix up to summation
+order, and every scored entry is bitwise the dense matrix's entry.
 """
 
 from __future__ import annotations
@@ -101,16 +111,21 @@ def _closed_form_kind(scenario: Scenario) -> str:
     return kind
 
 
-#: candidate x draw elements scored at once, which bounds the temporaries of
-#: the quadratic family's cubic roots
-_BLOCK = 1 << 17
+def _rival_summary(scenario: Scenario, rivals: np.ndarray) -> np.ndarray:
+    """The one number per rival draw that a candidate's COPE payoff depends
+    on: the lowest rival report (inf without rivals) under linear cost, the
+    rivals' summed inverse virtual costs under quadratic cost."""
+    if _closed_form_kind(scenario) == LINEAR:
+        return rivals.min(axis=1, initial=np.inf)
+    return mechanism.inverse_cost_sum(rivals, scenario.type_dist.theta_lo)
 
 
 def _payoff_matrix(theta: float, candidates, effort_policy,
-                   scenario: Scenario, rivals: np.ndarray) -> np.ndarray:
-    """(n_candidates, n_mc) COPE payoffs of an agent of type theta reporting
-    each candidate against each rival draw.  effort_policy: "optimal" (the
-    agent's reply to the stake K) or "designated" (the mechanism's Q)."""
+                   scenario: Scenario, summary: np.ndarray) -> np.ndarray:
+    """(n_candidates, n_draws) COPE payoffs of an agent of type theta reporting
+    each candidate against each draw's rival summary (_rival_summary).
+    effort_policy: "optimal" (the agent's reply to the stake K) or
+    "designated" (the mechanism's Q)."""
     if effort_policy not in ("optimal", "designated"):
         raise ValueError(f"unknown effort policy {effort_policy!r}; use "
                          "'optimal' or 'designated'")
@@ -118,32 +133,24 @@ def _payoff_matrix(theta: float, candidates, effort_policy,
     lo, hi = dist.theta_lo, dist.theta_hi
     var0 = scenario.prior.var0
     prec = scenario.prior.precision
+    # a (rows, 1) column, never a 0-d scalar: numpy's scalar power rounds
+    # differently from its array loop
+    th = np.asarray(candidates, dtype=float).reshape(-1, 1)
     if _closed_form_kind(scenario) == LINEAR:
-        m = rivals.min(axis=1, initial=np.inf)
+        pi, K, S, Q = mechanism.linear_winner_components(
+            th, np.minimum(hi, summary), lo, var0)
+        # only a winner is paid, and not if its effort clamps to 0
+        paid = (th < summary) & (Q > 0.0)
         reply = optimal_effort_linear
-
-        def components(th):
-            pi, K, S, Q = mechanism.linear_winner_components(
-                th, np.minimum(hi, m), lo, var0)
-            # only a winner is paid, and not if its effort clamps to 0
-            return pi, K, S, Q, (th < m) & (Q > 0.0)
     else:
-        s_rest = mechanism.inverse_cost_sum(rivals, lo)
+        Q, W = mechanism.quadratic_effort_at(th, summary, lo, var0)
+        pi, K, S = mechanism.quadratic_transfers(th, Q, summary, lo, hi, var0,
+                                                 W_from=W)
+        paid = True
         reply = reward_effort_quadratic
-
-        def components(th):
-            Q = mechanism.quadratic_effort_at(th, s_rest, lo, var0)
-            return (*mechanism.quadratic_transfers(th, Q, s_rest, lo, hi, var0),
-                    Q, True)
-    th_c = np.asarray(candidates, dtype=float)
-    out = np.empty((th_c.size, rivals.shape[0]))
-    rows = max(1, _BLOCK // max(rivals.shape[0], 1))
-    for start in range(0, th_c.size, rows):
-        pi, K, S, Q, paid = components(th_c[start:start + rows, None])
-        q = reply(K, theta, prec) if effort_policy == "optimal" else Q
-        out[start:start + rows] = np.where(paid, effort_payoff(
-            q, theta, K, S, pi, scenario.cost_model, prec), 0.0)
-    return out
+    q = reply(K, theta, prec) if effort_policy == "optimal" else Q
+    return np.where(paid, effort_payoff(q, theta, K, S, pi,
+                                        scenario.cost_model, prec), 0.0)
 
 
 def interim_payoff(theta: float, theta_hat: float, effort_policy: str,
@@ -153,9 +160,9 @@ def interim_payoff(theta: float, theta_hat: float, effort_policy: str,
     all rivals truthful; Monte-Carlo over rival types only (the inner
     expectation is analytic).  effort_policy: "optimal" or "designated".
     """
-    rivals = _rival_types(scenario, n_mc, seed)
+    summary = _rival_summary(scenario, _rival_types(scenario, n_mc, seed))
     draws = _payoff_matrix(theta, [theta_hat], effort_policy, scenario,
-                           rivals)[0]
+                           summary)[0]
     se = float(draws.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return InterimPayoff(value=float(draws.mean()), se=se, n_mc=n_mc)
 
@@ -170,30 +177,94 @@ class BestResponseType:
     paired_ses: np.ndarray    # SE of (best - candidate), common random numbers
 
 
+#: candidate x draw elements scored at once, which bounds the temporaries of
+#: the quadratic family's cubic roots
+_BLOCK = 1 << 17
+
+
+def _first_paid(candidates: np.ndarray, scenario: Scenario,
+                summary: np.ndarray) -> np.ndarray:
+    """Index of each candidate's first paid draw in the ascending summary;
+    the candidate is paid on every draw from there on.  A linear candidate
+    is paid only where it undercuts every rival, and nowhere if its effort
+    clamps to 0; a quadratic candidate is paid on every draw."""
+    if _closed_form_kind(scenario) != LINEAR:
+        return np.zeros(candidates.size, dtype=int)
+    live = mechanism.linear_effort_at(candidates, scenario.type_dist.theta_lo,
+                                      scenario.prior.var0) > 0.0
+    return np.where(live, np.searchsorted(summary, candidates, "right"),
+                    summary.size)
+
+
+def _score_blocks(theta: float, candidates: np.ndarray, scenario: Scenario,
+                  summary: np.ndarray) -> list:
+    """[(k, payoffs)]: consecutive candidates in blocks of at most _BLOCK
+    elements, each scored against the ascending summary's draws from k, its
+    first paid draw, on; every row is 0 before k.  A block takes no
+    candidate whose paid suffix is under 3/4 of the block's, which bounds
+    the columns scored in vain."""
+    n = summary.size
+    first = _first_paid(candidates, scenario, summary)
+    blocks = []
+    i = 0
+    while i < candidates.size:
+        k, j = first[i], i + 1
+        while (j < candidates.size and 4 * (n - first[j]) >= 3 * (n - k)
+               and (j + 1 - i) * (n - min(k, first[j])) <= _BLOCK):
+            k, j = min(k, first[j]), j + 1
+        blocks.append((k, _payoff_matrix(theta, candidates[i:j], "optimal",
+                                         scenario, summary[k:])))
+        i = j
+    return blocks
+
+
+def _mean_se(values: np.ndarray, n: int, zeros: int,
+             prefix: np.ndarray = np.empty(0)):
+    """Mean and standard error of rows of n draws: `zeros` exact zeros, then
+    the shared `prefix`, then each row of `values`.  The same sums as a dense
+    row's mean and std(ddof=1), up to summation order."""
+    mean = (prefix.sum() + values.sum(axis=1)) / n
+    ss = (((values - mean[:, None]) ** 2).sum(axis=1)
+          + ((prefix - mean[:, None]) ** 2).sum(axis=1) + zeros * mean ** 2)
+    return mean, np.sqrt(ss / (n - 1)) / np.sqrt(n)
+
+
 def best_response_type(theta: float, scenario: Scenario, n_grid: int = 101,
                        n_mc: int = 10_000, seed: int = 0) -> BestResponseType:
     """Grid-search maximizer of the interim COPE payoff over deviation
     reports, with one refinement decade around the coarse argmax.  The agent
-    plays the optimal effort for each candidate report."""
+    plays the optimal effort for each candidate report.
+
+    The rival draws are sorted by their summary, so a linear candidate is
+    scored only on the draws where it undercuts every rival; the statistics
+    add the exact zeros of the draws where it is not paid."""
     dist = scenario.type_dist
     lo, hi = dist.theta_lo, dist.theta_hi
-    rivals = _rival_types(scenario, n_mc, seed)
+    summary = np.sort(_rival_summary(scenario,
+                                     _rival_types(scenario, n_mc, seed)))
     coarse = np.linspace(lo, hi, n_grid)
     step = (hi - lo) / (n_grid - 1)
-    draws = _payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
-                           "optimal", scenario, rivals)
-    t0 = coarse[int(np.argmax(draws.mean(axis=1)))]
+    blocks = _score_blocks(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
+                           scenario, summary)
+    stats = [_mean_se(values, n_mc, k) for k, values in blocks]
+    t0 = coarse[int(np.argmax(np.concatenate([m for m, _ in stats])))]
     fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
+    fine_blocks = _score_blocks(theta, np.clip(fine, lo + TYPE_CLAMP, hi),
+                                scenario, summary)
+    blocks += fine_blocks
+    stats += [_mean_se(values, n_mc, k) for k, values in fine_blocks]
     # a fine candidate equal to a coarse one keeps the coarse row
     grid, first = np.unique(np.concatenate([coarse, fine]), return_index=True)
-    draws = np.concatenate([draws, _payoff_matrix(
-        theta, np.clip(fine, lo + TYPE_CLAMP, hi), "optimal", scenario,
-        rivals)])[first]
-    payoffs = draws.mean(axis=1)
-    ses = draws.std(axis=1, ddof=1) / np.sqrt(n_mc)
+    payoffs = np.concatenate([m for m, _ in stats])[first]
+    ses = np.concatenate([se for _, se in stats])[first]
     best = int(np.argmax(payoffs))
-    diff = draws[best] - draws
-    paired_ses = diff.std(axis=1, ddof=1) / np.sqrt(n_mc)
+    k_best, row = [(k, r) for k, values in blocks for r in values][first[best]]
+    best_row = np.zeros(n_mc)
+    best_row[k_best:] = row
+    paired_ses = np.concatenate([
+        _mean_se(best_row[k:] - values, n_mc, min(k, k_best),
+                 best_row[min(k, k_best):k])[1]
+        for k, values in blocks])[first]
     in_set = payoffs[best] - payoffs <= 3.0 * paired_ses + 1e-12
     return BestResponseType(theta_star=float(grid[best]),
                             argmax_set=grid[in_set], grid=grid,
@@ -246,12 +317,12 @@ def information_rent(theta: float, scenario: Scenario, n_mc: int = 10_000,
     dist = scenario.type_dist
     lo, hi = dist.theta_lo, dist.theta_hi
     var0 = scenario.prior.var0
-    rivals = _rival_types(scenario, n_mc, seed)
+    summary = _rival_summary(scenario, _rival_types(scenario, n_mc, seed))
     if _closed_form_kind(scenario) == LINEAR:
-        draws = mechanism.linear_tail_closed(
-            theta, np.minimum(hi, rivals.min(axis=1, initial=np.inf)), lo, var0)
+        draws = mechanism.linear_tail_closed(theta, np.minimum(hi, summary),
+                                             lo, var0)
     else:
-        draws = 0.5 * mechanism.quadratic_pi_tail_gl(
-            theta, mechanism.inverse_cost_sum(rivals, lo), lo, hi, var0)
+        draws = 0.5 * mechanism.quadratic_pi_tail_gl(theta, summary, lo, hi,
+                                                     var0)
     se = float(draws.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return InterimPayoff(value=float(draws.mean()), se=se, n_mc=n_mc)

@@ -137,11 +137,12 @@ def effort_quadratic(theta_hat, theta_lo: float, var0: float) -> np.ndarray:
 
 
 def quadratic_effort_at(theta, s_rest, theta_lo: float, var0: float):
-    """Quadratic-cost effort of an agent reporting theta whose rivals' 1/gamma
-    sum to s_rest: 1/(gamma W^2), W^3 - W^2/var0 = s_rest + 1/gamma."""
+    """(effort, W) under quadratic cost of an agent reporting theta whose
+    rivals' 1/gamma sum to s_rest: 1/(gamma W^2), W^3 - W^2/var0 =
+    s_rest + 1/gamma.  W is the rent tail's W_from at theta."""
     inv_gamma = 1.0 / _virtual_costs(theta, theta_lo)
     W = cubic_root(1.0 / var0, s_rest + inv_gamma)
-    return inv_gamma / (W * W)
+    return inv_gamma / (W * W), W
 
 
 def inverse_cost_sum(theta_rest, theta_lo: float) -> np.ndarray:
@@ -287,9 +288,10 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
     return 0.5 * (theta_hat[agent] * q_own ** 2 + tail)
 
 
-# name and arity fixed by perfbench's tracer: it reads a 6th arg as order
+# name and arity fixed by perfbench's tracer: it reads a 6th positional arg
+# as order, so W_from is keyword-only
 def quadratic_pi_tail_gl(theta_from, s_rest, theta_lo: float, theta_hi: float,
-                         var0: float) -> np.ndarray:
+                         var0: float, *, W_from=None) -> np.ndarray:
     """Exact tail integral of the squared quadratic-cost schedule over
     [theta_from, theta_hi], vectorized over broadcastable theta_from, s_rest.
 
@@ -298,13 +300,15 @@ def quadratic_pi_tail_gl(theta_from, s_rest, theta_lo: float, theta_hi: float,
     the tail is G(W_hi) - G(W_from) with G(W) = 3/(2W) - a/(2W^2).  It is
     evaluated factored, W_from - W_hi taken from the difference of the two
     cubics, so it keeps full relative precision as theta_from nears
-    theta_hi; verified against quadratic_pi_quad in tests."""
+    theta_hi; verified against quadratic_pi_quad in tests.  W_from, if
+    given, is W at theta_from (quadratic_effort_at's root), so the cubic is
+    not solved again."""
     tf = np.asarray(theta_from, dtype=float)
     s = np.asarray(s_rest, dtype=float)
     a = 1.0 / var0
     g_f = 2.0 * tf - theta_lo
     g_h = 2.0 * theta_hi - theta_lo
-    W_f = cubic_root(a, s + 1.0 / g_f)
+    W_f = cubic_root(a, s + 1.0 / g_f) if W_from is None else W_from
     W_h = cubic_root(a, s + 1.0 / g_h)
     dW = 2.0 * (theta_hi - tf) / (
         g_f * g_h * (W_f * W_f + W_f * W_h + W_h * W_h - a * (W_f + W_h)))
@@ -313,13 +317,15 @@ def quadratic_pi_tail_gl(theta_from, s_rest, theta_lo: float, theta_hi: float,
 
 
 def quadratic_transfers(theta_hat, efforts, s_rest, theta_lo: float,
-                        theta_hi: float, var0: float):
+                        theta_hi: float, var0: float, *, W_from=None):
     """(pi, K, S) under quadratic cost for reports theta_hat at designated
     efforts, with s_rest each agent's rivals' summed inverse virtual costs:
     pi = (theta q^2 + rent tail)/2, K = (1/var0 + q)^2 theta q and
-    S = (1/var0 + q) theta q.  Vectorized over broadcastable arrays."""
+    S = (1/var0 + q) theta q.  Vectorized over broadcastable arrays; W_from
+    goes to quadratic_pi_tail_gl."""
     prec = 1.0 / var0
-    tail = quadratic_pi_tail_gl(theta_hat, s_rest, theta_lo, theta_hi, var0)
+    tail = quadratic_pi_tail_gl(theta_hat, s_rest, theta_lo, theta_hi, var0,
+                                W_from=W_from)
     pi = 0.5 * (theta_hat * efforts ** 2 + tail)
     return (pi, (efforts + prec) ** 2 * theta_hat * efforts,
             (efforts + prec) * theta_hat * efforts)

@@ -8,7 +8,7 @@ import pytest
 
 from copesim import agents, mechanism
 from copesim.costs import LINEAR, QUADRATIC
-from copesim.model import GaussianPrior
+from copesim.model import TYPE_CLAMP, GaussianPrior
 
 
 def test_truthful_report_shrinks_toward_prior_mean(prior01):
@@ -156,16 +156,111 @@ def test_truth_is_best_response_quadratic(make_scenario):
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
 def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
-    # 2^15 draws make blocks of 4 candidates; each row must be bitwise what
-    # the candidate scores alone
+    # each row must be bitwise what the candidate scores alone; 2^15 draws
+    # make the oracle's blocks at most 4 quadratic candidates, each row of
+    # which is bitwise that row on its paid suffix and exactly 0 before it
     scen = make_scenario(kind, 3)
-    rivals = agents._rival_types(scen, 1 << 15, 4)
+    summary = np.sort(agents._rival_summary(
+        scen, agents._rival_types(scen, 1 << 15, 4)))
     candidates = np.linspace(0.05, 0.95, 9)
-    for policy in ("optimal", "designated"):
-        together = agents._payoff_matrix(0.4, candidates, policy, scen, rivals)
+    for policy in ("designated", "optimal"):
+        together = agents._payoff_matrix(0.4, candidates, policy, scen,
+                                         summary)
         for row, th in zip(together, candidates):
-            alone = agents._payoff_matrix(0.4, [th], policy, scen, rivals)
+            alone = agents._payoff_matrix(0.4, [th], policy, scen, summary)
             assert np.array_equal(row, alone[0])
+    blocks = agents._score_blocks(0.4, candidates, scen, summary)
+    assert len(blocks) > 1
+    rows = [(k, r) for k, values in blocks for r in values]
+    assert len(rows) == candidates.size
+    for (k, row), full in zip(rows, together):
+        assert not full[:k].any()
+        assert np.array_equal(row, full[k:])
+
+
+def _dense_best_response_type(theta, scenario, n_grid=101, n_mc=10_000,
+                              seed=0):
+    """The oracle as a dense (candidates, draws) payoff matrix in draw
+    order, rows concatenated and reduced with numpy's mean and std: the
+    reference for the paid-suffix scoring."""
+    lo, hi = scenario.type_dist.theta_lo, scenario.type_dist.theta_hi
+    summary = agents._rival_summary(
+        scenario, agents._rival_types(scenario, n_mc, seed))
+    coarse = np.linspace(lo, hi, n_grid)
+    step = (hi - lo) / (n_grid - 1)
+    draws = agents._payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
+                                  "optimal", scenario, summary)
+    t0 = coarse[int(np.argmax(draws.mean(axis=1)))]
+    fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
+    grid, first = np.unique(np.concatenate([coarse, fine]), return_index=True)
+    draws = np.concatenate([draws, agents._payoff_matrix(
+        theta, np.clip(fine, lo + TYPE_CLAMP, hi), "optimal", scenario,
+        summary)])[first]
+    payoffs = draws.mean(axis=1)
+    ses = draws.std(axis=1, ddof=1) / np.sqrt(n_mc)
+    best = int(np.argmax(payoffs))
+    paired_ses = (draws[best] - draws).std(axis=1, ddof=1) / np.sqrt(n_mc)
+    in_set = payoffs[best] - payoffs <= 3.0 * paired_ses + 1e-12
+    return agents.BestResponseType(
+        theta_star=float(grid[best]), argmax_set=grid[in_set], grid=grid,
+        payoffs=payoffs, ses=ses, paired_ses=paired_ses)
+
+
+def _assert_matches_dense(br, ref):
+    # the statistics differ only in summation order
+    assert np.array_equal(br.grid, ref.grid)
+    assert np.array_equal(br.argmax_set, ref.argmax_set)
+    assert br.theta_star == ref.theta_star
+    for name in ("payoffs", "ses", "paired_ses"):
+        got, want = getattr(br, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_best_response_type_matches_dense_oracle(make_scenario, kind, n,
+                                                  var0):
+    # 0.7 lies above the linear clamp point (var0^2 + theta_lo)/2 at var0 =
+    # 0.25 and 1, where every candidate ties at the rounding level
+    scen = make_scenario(kind, n, var0=var0)
+    n_mc = 10_000 if kind == LINEAR else 2_000
+    for i, theta in enumerate((0.3, 0.7)):
+        br = agents.best_response_type(theta, scen, n_mc=n_mc, seed=i)
+        _assert_matches_dense(br, _dense_best_response_type(
+            theta, scen, n_mc=n_mc, seed=i))
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_best_response_type_matches_dense_oracle_on_two_draws(make_scenario,
+                                                              kind):
+    scen = make_scenario(kind, 3)
+    for seed in range(4):
+        _assert_matches_dense(
+            agents.best_response_type(0.3, scen, n_mc=2, seed=seed),
+            _dense_best_response_type(0.3, scen, n_mc=2, seed=seed))
+
+
+def test_unpaid_linear_candidates_score_exactly_zero(make_scenario):
+    # above the clamp point 1/32 at var0 = 0.25 no candidate's effort is
+    # positive, so its paid suffix is empty; one rival lies below 0.2 in
+    # every draw, so candidates from 0.2 on never win
+    for var0, cut in ((0.25, 1.0 / 32.0), (4.0, 0.2)):
+        scen = make_scenario(LINEAR, 40 if var0 == 4.0 else 3, var0=var0)
+        summary = np.sort(agents._rival_summary(
+            scen, agents._rival_types(scen, 1000, 1)))
+        if var0 == 4.0:
+            assert summary[-1] < cut
+        br = agents.best_response_type(0.5, scen, n_mc=1000, seed=1)
+        unpaid = br.grid > cut
+        assert unpaid.sum() >= 70
+        # scored on no draw at all
+        first = agents._first_paid(br.grid[unpaid], scen, summary)
+        assert np.all(first == summary.size)
+        assert np.all(br.payoffs[unpaid] == 0.0)
+        assert np.all(br.ses[unpaid] == 0.0)
+        _assert_matches_dense(br, _dense_best_response_type(
+            0.5, scen, n_mc=1000, seed=1))
 
 
 def test_best_response_effort_matches_designated_levels(make_scenario):

@@ -5,6 +5,7 @@ hand-evaluated numbers and against a reduced-objective numeric search that
 does not share code with the implementation.
 """
 
+import inspect
 import math
 import warnings
 from functools import partial
@@ -370,6 +371,26 @@ def test_quadratic_tail_broadcast_shapes():
                                                      float(s_b[idx]), 0.0,
                                                      1.0, var0)
                 assert got[idx] == one
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0, math.inf])
+def test_quadratic_tail_from_the_callers_root_is_bitwise_the_default(var0):
+    gen = np.random.Generator(np.random.Philox(77007))
+    theta = np.concatenate([gen.uniform(1e-6, 1.0, 400),
+                            [np.nextafter(1.0, 0.0), 1.0 - 1e-12, 1.0]])
+    s_rest = np.concatenate([[0.0], 10.0 ** gen.uniform(-3.0, 3.0,
+                                                         theta.size - 1)])
+    for tf, s in ((theta, s_rest), (theta[:, None], s_rest)):
+        W = mechanism.cubic_root(1.0 / var0, s + 1.0 / (2.0 * tf))
+        got = mechanism.quadratic_pi_tail_gl(tf, s, 0.0, 1.0, var0, W_from=W)
+        assert np.array_equal(
+            got, mechanism.quadratic_pi_tail_gl(tf, s, 0.0, 1.0, var0))
+        _, W_at = mechanism.quadratic_effort_at(tf, s, 0.0, var0)
+        assert np.array_equal(W_at, W)
+    # perfbench's tracer reads a sixth positional argument as the order
+    for fn in (mechanism.quadratic_pi_tail_gl, mechanism.quadratic_transfers):
+        param = inspect.signature(fn).parameters["W_from"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_quadratic_pi_accurate_at_low_reports():
