@@ -10,18 +10,19 @@ candidate reports.  A candidate's payoff depends on a draw only through one
 summary of it: the lowest rival report under linear cost, the rivals' summed
 inverse virtual costs under quadratic cost.
 
-best_response_type sorts the draws by that summary.  A linear candidate is
-paid only on the draws where it undercuts every rival, a suffix of the
-sorted draws (none if its effort clamps to 0), and is scored only there; a
-quadratic candidate is paid on every draw.  Each row's mean, standard error
-and paired standard error add the exact zeros of its unpaid draws, so they
-are those of the dense (candidates, draws) payoff matrix up to summation
-order, and every scored entry is bitwise the dense matrix's entry.
+Each (scenario, n_mc >= 2, seed) is drawn once, sorted by that summary and
+shared by all oracles (_rival_draws).  A linear candidate, and its rent
+tail, is scored only on the draws where it undercuts every rival, a suffix
+of the sorted draws (none if its effort clamps to 0); a quadratic one on
+every draw.  Each statistic adds the exact zeros of the unpaid draws, so it
+is the dense draw-order one up to summation order, and every scored entry
+is bitwise the dense entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,17 +88,6 @@ class InterimPayoff:
     n_mc: int
 
 
-def _rival_types(scenario: Scenario, n_mc: int, seed: int) -> np.ndarray:
-    """(n_mc, N-1) rival type draws; the same (seed, scenario) key always
-    yields the same draws, which is what makes paired comparisons exact."""
-    n_rivals = scenario.n_agents - 1
-    gen = rng.generator(seed, scenario.n_agents, _STREAM_RIVALS)
-    u = gen.random((n_mc, max(n_rivals, 1)))[:, :n_rivals]
-    dist = scenario.type_dist
-    th = dist.ppf(u)
-    return np.clip(th, dist.theta_lo + TYPE_CLAMP, dist.theta_hi)
-
-
 def _closed_form_kind(scenario: Scenario) -> str:
     """Cost kind of a scenario with closed-form COPE transfers: linear or
     quadratic cost with uniform types, whose virtual cost 2*theta - theta_lo
@@ -111,19 +101,33 @@ def _closed_form_kind(scenario: Scenario) -> str:
     return kind
 
 
-def _rival_summary(scenario: Scenario, rivals: np.ndarray) -> np.ndarray:
-    """The one number per rival draw that a candidate's COPE payoff depends
-    on: the lowest rival report (inf without rivals) under linear cost, the
-    rivals' summed inverse virtual costs under quadratic cost."""
-    if _closed_form_kind(scenario) == LINEAR:
-        return rivals.min(axis=1, initial=np.inf)
-    return mechanism.inverse_cost_sum(rivals, scenario.type_dist.theta_lo)
+def _rival_draws(scenario: Scenario, n_mc: int, seed: int) -> np.ndarray:
+    """Ascending, read-only summaries of n_mc rival draws (the lowest rival
+    report, inf without rivals, under linear cost; the summed inverse virtual
+    costs under quadratic cost), drawn once per key; n_mc >= 2 for an SE."""
+    kind = _closed_form_kind(scenario)
+    if n_mc < 2:
+        raise ValueError(f"n_mc must be >= 2, got {n_mc}")
+    return _sorted_draws(kind, scenario.type_dist, scenario.n_agents, n_mc,
+                         seed)
+
+
+@lru_cache(maxsize=4)
+def _sorted_draws(kind, dist, n_agents, n_mc, seed) -> np.ndarray:
+    gen = rng.generator(seed, n_agents, _STREAM_RIVALS)
+    u = gen.random((n_mc, max(n_agents - 1, 1)))[:, :n_agents - 1]
+    rivals = np.clip(dist.ppf(u), dist.theta_lo + TYPE_CLAMP, dist.theta_hi)
+    summary = (rivals.min(axis=1, initial=np.inf) if kind == LINEAR
+               else mechanism.inverse_cost_sum(rivals, dist.theta_lo))
+    summary.sort()
+    summary.setflags(write=False)
+    return summary
 
 
 def _payoff_matrix(theta: float, candidates, effort_policy,
                    scenario: Scenario, summary: np.ndarray) -> np.ndarray:
     """(n_candidates, n_draws) COPE payoffs of an agent of type theta reporting
-    each candidate against each draw's rival summary (_rival_summary).
+    each candidate against each draw's rival summary (_rival_draws).
     effort_policy: "optimal" (the agent's reply to the stake K) or
     "designated" (the mechanism's Q)."""
     if effort_policy not in ("optimal", "designated"):
@@ -151,20 +155,6 @@ def _payoff_matrix(theta: float, candidates, effort_policy,
     q = reply(K, theta, prec) if effort_policy == "optimal" else Q
     return np.where(paid, effort_payoff(q, theta, K, S, pi,
                                         scenario.cost_model, prec), 0.0)
-
-
-def interim_payoff(theta: float, theta_hat: float, effort_policy: str,
-                   scenario: Scenario, n_mc: int = 10_000,
-                   seed: int = 0) -> InterimPayoff:
-    """Expected COPE payoff of an agent of type theta reporting theta_hat,
-    all rivals truthful; Monte-Carlo over rival types only (the inner
-    expectation is analytic).  effort_policy: "optimal" or "designated".
-    """
-    summary = _rival_summary(scenario, _rival_types(scenario, n_mc, seed))
-    draws = _payoff_matrix(theta, [theta_hat], effort_policy, scenario,
-                           summary)[0]
-    se = float(draws.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return InterimPayoff(value=float(draws.mean()), se=se, n_mc=n_mc)
 
 
 @dataclass(frozen=True)
@@ -197,12 +187,12 @@ def _first_paid(candidates: np.ndarray, scenario: Scenario,
 
 
 def _score_blocks(theta: float, candidates: np.ndarray, scenario: Scenario,
-                  summary: np.ndarray) -> list:
+                  summary: np.ndarray, effort_policy: str) -> list:
     """[(k, payoffs)]: consecutive candidates in blocks of at most _BLOCK
-    elements, each scored against the ascending summary's draws from k, its
-    first paid draw, on; every row is 0 before k.  A block takes no
-    candidate whose paid suffix is under 3/4 of the block's, which bounds
-    the columns scored in vain."""
+    elements, each scored (_payoff_matrix) against the ascending summary's
+    draws from k, its first paid draw, on; every row is 0 before k.  A block
+    takes no candidate whose paid suffix is under 3/4 of the block's, which
+    bounds the columns scored in vain."""
     n = summary.size
     first = _first_paid(candidates, scenario, summary)
     blocks = []
@@ -212,8 +202,9 @@ def _score_blocks(theta: float, candidates: np.ndarray, scenario: Scenario,
         while (j < candidates.size and 4 * (n - first[j]) >= 3 * (n - k)
                and (j + 1 - i) * (n - min(k, first[j])) <= _BLOCK):
             k, j = min(k, first[j]), j + 1
-        blocks.append((k, _payoff_matrix(theta, candidates[i:j], "optimal",
-                                         scenario, summary[k:])))
+        blocks.append((k, _payoff_matrix(theta, candidates[i:j],
+                                         effort_policy, scenario,
+                                         summary[k:])))
         i = j
     return blocks
 
@@ -229,28 +220,35 @@ def _mean_se(values: np.ndarray, n: int, zeros: int,
     return mean, np.sqrt(ss / (n - 1)) / np.sqrt(n)
 
 
+def interim_payoff(theta: float, theta_hat: float, effort_policy: str,
+                   scenario: Scenario, n_mc: int = 10_000,
+                   seed: int = 0) -> InterimPayoff:
+    """Expected COPE payoff of an agent of type theta reporting theta_hat,
+    all rivals truthful; Monte-Carlo over rival types only (the inner
+    expectation is analytic).  effort_policy: "optimal" or "designated"."""
+    [(k, values)] = _score_blocks(theta, np.array([theta_hat], dtype=float),
+                                  scenario, _rival_draws(scenario, n_mc, seed),
+                                  effort_policy)
+    mean, se = _mean_se(values, n_mc, k)
+    return InterimPayoff(value=float(mean[0]), se=float(se[0]), n_mc=n_mc)
+
+
 def best_response_type(theta: float, scenario: Scenario, n_grid: int = 101,
                        n_mc: int = 10_000, seed: int = 0) -> BestResponseType:
     """Grid-search maximizer of the interim COPE payoff over deviation
     reports, with one refinement decade around the coarse argmax.  The agent
-    plays the optimal effort for each candidate report.
-
-    The rival draws are sorted by their summary, so a linear candidate is
-    scored only on the draws where it undercuts every rival; the statistics
-    add the exact zeros of the draws where it is not paid."""
-    dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
-    summary = np.sort(_rival_summary(scenario,
-                                     _rival_types(scenario, n_mc, seed)))
+    plays the optimal effort for each candidate report."""
+    lo, hi = scenario.type_dist.theta_lo, scenario.type_dist.theta_hi
+    summary = _rival_draws(scenario, n_mc, seed)
     coarse = np.linspace(lo, hi, n_grid)
     step = (hi - lo) / (n_grid - 1)
     blocks = _score_blocks(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
-                           scenario, summary)
+                           scenario, summary, "optimal")
     stats = [_mean_se(values, n_mc, k) for k, values in blocks]
     t0 = coarse[int(np.argmax(np.concatenate([m for m, _ in stats])))]
     fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
     fine_blocks = _score_blocks(theta, np.clip(fine, lo + TYPE_CLAMP, hi),
-                                scenario, summary)
+                                scenario, summary, "optimal")
     blocks += fine_blocks
     stats += [_mean_se(values, n_mc, k) for k, values in fine_blocks]
     # a fine candidate equal to a coarse one keeps the coarse row
@@ -312,17 +310,18 @@ def information_rent(theta: float, scenario: Scenario, n_mc: int = 10_000,
                      seed: int = 0) -> InterimPayoff:
     """Expected truthful surplus from the type-derivative envelope: the
     integral over reports above theta of the type-derivative of the cost along
-    the designated schedule, averaged over rival draws.  Uses the same rival
-    stream as interim_payoff so the comparison is paired."""
-    dist = scenario.type_dist
-    lo, hi = dist.theta_lo, dist.theta_hi
+    the designated schedule, averaged over rival draws.  interim_payoff
+    shares its draws, so the two agree to rounding; the bir suite combines
+    their SEs as if independent, a conservative SE for the difference."""
+    lo, hi = scenario.type_dist.theta_lo, scenario.type_dist.theta_hi
     var0 = scenario.prior.var0
-    summary = _rival_summary(scenario, _rival_types(scenario, n_mc, seed))
-    if _closed_form_kind(scenario) == LINEAR:
-        draws = mechanism.linear_tail_closed(theta, np.minimum(hi, summary),
-                                             lo, var0)
+    summary = _rival_draws(scenario, n_mc, seed)
+    k = _first_paid(np.array([theta], dtype=float), scenario, summary)[0]
+    if scenario.cost_kind == LINEAR:
+        tail = mechanism.linear_tail_closed(theta, np.minimum(hi, summary[k:]),
+                                            lo, var0)
     else:
-        draws = 0.5 * mechanism.quadratic_pi_tail_gl(theta, summary, lo, hi,
-                                                     var0)
-    se = float(draws.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return InterimPayoff(value=float(draws.mean()), se=se, n_mc=n_mc)
+        tail = 0.5 * mechanism.quadratic_pi_tail_gl(theta, summary, lo, hi,
+                                                    var0)
+    mean, se = _mean_se(tail[None, :], n_mc, k)
+    return InterimPayoff(value=float(mean[0]), se=float(se[0]), n_mc=n_mc)

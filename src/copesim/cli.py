@@ -129,10 +129,9 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {"seed": args.seed}
     if args.suite in ("bic", "bir"):
-        kwargs["cost_kind"] = args.cost
-        kwargs["n_instances"] = args.instances
-    if args.suite == "bic":
-        kwargs["n_mc"] = args.mc
+        kwargs.update(cost_kind=args.cost, n_instances=args.instances)
+        if args.mc is not None:
+            kwargs["n_mc"] = args.mc
     try:
         checks = verify.run_suite(args.suite, **kwargs)
     except ValueError as exc:
@@ -223,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--instances", type=int, default=20,
                        help="instance count for bic/bir")
-    p_ver.add_argument("--mc", type=int, default=10_000,
-                       help="Monte-Carlo draws per oracle call (bic)")
+    p_ver.add_argument("--mc", type=int, default=None,
+                       help="Monte-Carlo draws per oracle call for bic/bir "
+                       "(default: bic 10000, bir 20000)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser("figures",

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from copesim import agents, mechanism
+from copesim import agents, mechanism, rng, verify
 from copesim.costs import LINEAR, QUADRATIC
 from copesim.model import TYPE_CLAMP, GaussianPrior
 
@@ -98,6 +98,109 @@ def test_quadratic_reward_effort_zero_reward_and_broadcasting(prec):
             assert np.all(np.abs(q - ref) <= 1e-14 * ref)
 
 
+def _summaries_in_draw_order(scenario, n_mc, seed):
+    """Each rival draw's summary in draw order, rebuilt from the rival
+    stream: the lowest rival report under linear cost, the summed inverse
+    virtual costs under quadratic cost."""
+    dist = scenario.type_dist
+    n_rivals = scenario.n_agents - 1
+    gen = rng.generator(seed, scenario.n_agents, agents._STREAM_RIVALS)
+    u = gen.random((n_mc, max(n_rivals, 1)))[:, :n_rivals]
+    rivals = np.clip(dist.ppf(u), dist.theta_lo + TYPE_CLAMP, dist.theta_hi)
+    if scenario.cost_kind == LINEAR:
+        return rivals.min(axis=1, initial=np.inf)
+    return mechanism.inverse_cost_sum(rivals, dist.theta_lo)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_rival_draws_are_the_sorted_rival_stream(make_scenario, kind, n):
+    scen = make_scenario(kind, n)
+    draws = agents._rival_draws(scen, 3000, 7)
+    assert np.array_equal(draws, np.sort(_summaries_in_draw_order(scen, 3000,
+                                                                  7)))
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_rival_draws_are_shared_and_read_only(make_scenario, kind):
+    # equal but distinct scenarios share one draw
+    first = agents._rival_draws(make_scenario(kind, 3), 2000, 1)
+    assert agents._rival_draws(make_scenario(kind, 3), 2000, 1) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    other = agents._rival_draws(make_scenario(kind, 3), 2000, 2)
+    assert not np.array_equal(other, first)
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_suite_bir_draws_each_key_once(monkeypatch, kind):
+    # interim_payoff and information_rent of one instance share a draw
+    keys = []
+    generator = rng.generator
+
+    def counting(seed, n_agents, stream):
+        if stream == agents._STREAM_RIVALS:
+            keys.append((seed, n_agents))
+        return generator(seed, n_agents, stream)
+
+    agents._sorted_draws.cache_clear()
+    monkeypatch.setattr(rng, "generator", counting)
+    checks = verify.suite_bir(kind, seed=3, n_instances=2, n_mc=500)
+    assert verify.suite_passed(checks)
+    # two instances and three top types, each its own key unless one
+    # repeats an instance's
+    assert 3 <= len(keys) == len(set(keys)) <= 5
+
+
+@pytest.mark.parametrize("n_mc", [0, 1])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_oracles_reject_fewer_than_two_draws(make_scenario, kind, n_mc):
+    scen = make_scenario(kind, 3)
+    for oracle in (lambda: agents.interim_payoff(0.3, 0.3, "optimal", scen,
+                                                 n_mc=n_mc),
+                   lambda: agents.information_rent(0.3, scen, n_mc=n_mc),
+                   lambda: agents.best_response_type(0.3, scen, n_mc=n_mc)):
+        with pytest.raises(ValueError, match=f"n_mc must be >= 2, got {n_mc}"):
+            oracle()
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_interim_estimates_match_dense_draw_order(make_scenario, kind, n,
+                                                  var0):
+    # 0.7 lies above the linear clamp point at var0 = 0.25 and 1; 1.0 is
+    # the top type.  The statistics differ only in summation order.
+    scen = make_scenario(kind, n, var0=var0)
+    lo, hi = scen.type_dist.theta_lo, scen.type_dist.theta_hi
+    n_mc = 4000 if kind == LINEAR else 2000
+    summary = _summaries_in_draw_order(scen, n_mc, 5)
+    got, want = [], []
+
+    def dense(draws):
+        return draws.mean(), draws.std(ddof=1) / np.sqrt(n_mc)
+
+    for theta, theta_hat in ((0.3, 0.3), (0.3, 0.15), (0.3, 0.5),
+                             (0.7, 0.7), (1.0, 1.0)):
+        for policy in ("optimal", "designated"):
+            p = agents.interim_payoff(theta, theta_hat, policy, scen,
+                                      n_mc=n_mc, seed=5)
+            got.append((p.value, p.se))
+            want.append(dense(agents._payoff_matrix(
+                theta, [theta_hat], policy, scen, summary)[0]))
+        r = agents.information_rent(theta, scen, n_mc=n_mc, seed=5)
+        got.append((r.value, r.se))
+        want.append(dense(
+            mechanism.linear_tail_closed(theta, np.minimum(hi, summary), lo,
+                                         var0) if kind == LINEAR else
+            0.5 * mechanism.quadratic_pi_tail_gl(theta, summary, lo, hi,
+                                                 var0)))
+    got, want = np.array(got), np.array(want)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
 def test_interim_payoff_zero_at_top_type(make_scenario, kind):
     # the top type earns no rent: loses every linear auction, and the
@@ -160,8 +263,7 @@ def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
     # make the oracle's blocks at most 4 quadratic candidates, each row of
     # which is bitwise that row on its paid suffix and exactly 0 before it
     scen = make_scenario(kind, 3)
-    summary = np.sort(agents._rival_summary(
-        scen, agents._rival_types(scen, 1 << 15, 4)))
+    summary = agents._rival_draws(scen, 1 << 15, 4)
     candidates = np.linspace(0.05, 0.95, 9)
     for policy in ("designated", "optimal"):
         together = agents._payoff_matrix(0.4, candidates, policy, scen,
@@ -169,13 +271,13 @@ def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
         for row, th in zip(together, candidates):
             alone = agents._payoff_matrix(0.4, [th], policy, scen, summary)
             assert np.array_equal(row, alone[0])
-    blocks = agents._score_blocks(0.4, candidates, scen, summary)
-    assert len(blocks) > 1
-    rows = [(k, r) for k, values in blocks for r in values]
-    assert len(rows) == candidates.size
-    for (k, row), full in zip(rows, together):
-        assert not full[:k].any()
-        assert np.array_equal(row, full[k:])
+        blocks = agents._score_blocks(0.4, candidates, scen, summary, policy)
+        assert len(blocks) > 1
+        rows = [(k, r) for k, values in blocks for r in values]
+        assert len(rows) == candidates.size
+        for (k, row), full in zip(rows, together):
+            assert not full[:k].any()
+            assert np.array_equal(row, full[k:])
 
 
 def _dense_best_response_type(theta, scenario, n_grid=101, n_mc=10_000,
@@ -184,8 +286,7 @@ def _dense_best_response_type(theta, scenario, n_grid=101, n_mc=10_000,
     order, rows concatenated and reduced with numpy's mean and std: the
     reference for the paid-suffix scoring."""
     lo, hi = scenario.type_dist.theta_lo, scenario.type_dist.theta_hi
-    summary = agents._rival_summary(
-        scenario, agents._rival_types(scenario, n_mc, seed))
+    summary = _summaries_in_draw_order(scenario, n_mc, seed)
     coarse = np.linspace(lo, hi, n_grid)
     step = (hi - lo) / (n_grid - 1)
     draws = agents._payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
@@ -247,8 +348,7 @@ def test_unpaid_linear_candidates_score_exactly_zero(make_scenario):
     # every draw, so candidates from 0.2 on never win
     for var0, cut in ((0.25, 1.0 / 32.0), (4.0, 0.2)):
         scen = make_scenario(LINEAR, 40 if var0 == 4.0 else 3, var0=var0)
-        summary = np.sort(agents._rival_summary(
-            scen, agents._rival_types(scen, 1000, 1)))
+        summary = agents._rival_draws(scen, 1000, 1)
         if var0 == 4.0:
             assert summary[-1] < cut
         br = agents.best_response_type(0.5, scen, n_mc=1000, seed=1)

@@ -282,6 +282,29 @@ def test_cli_verify_bic_rejects_one_mc_draw(capsys):
         verify.run_suite("bir", n_mc=1)
 
 
+def test_cli_verify_bir_rejects_one_mc_draw(capsys):
+    rc = cli.main(["verify", "bir", "--instances", "2", "--mc", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip() == "error: n_mc must be >= 2, got 1"
+    assert "result:" not in captured.out
+
+
+@pytest.mark.parametrize("suite", ["bic", "bir"])
+def test_cli_verify_passes_mc_to_the_oracle_suites(monkeypatch, capsys,
+                                                   suite):
+    seen = []
+    monkeypatch.setitem(verify.SUITES, suite,
+                        lambda **kw: seen.append(kw) or [])
+    assert cli.main(["verify", suite, "--instances", "1", "--mc", "500"]) == 0
+    assert cli.main(["verify", suite]) == 0
+    capsys.readouterr()
+    # without --mc each suite keeps its own default
+    assert seen == [dict(seed=0, cost_kind="linear", n_instances=1,
+                         n_mc=500),
+                    dict(seed=0, cost_kind="linear", n_instances=20)]
+
+
 def test_cli_verify_cubic(capsys):
     rc = cli.main(["verify", "cubic"])
     out = capsys.readouterr().out
