@@ -117,8 +117,12 @@ def _sorted_draws(kind, dist, n_agents, n_mc, seed) -> np.ndarray:
     gen = rng.generator(seed, n_agents, _STREAM_RIVALS)
     u = gen.random((n_mc, max(n_agents - 1, 1)))[:, :n_agents - 1]
     rivals = np.clip(dist.ppf(u), dist.theta_lo + TYPE_CLAMP, dist.theta_hi)
-    summary = (rivals.min(axis=1, initial=np.inf) if kind == LINEAR
-               else mechanism.inverse_cost_sum(rivals, dist.theta_lo))
+    if kind == LINEAR:      # the lowest rival, a column at a time
+        summary = np.full(n_mc, np.inf)
+        for c in rivals.T:
+            np.minimum(summary, c, out=summary)
+    else:
+        summary = mechanism.inverse_cost_sum(rivals, dist.theta_lo)
     summary.sort()
     summary.setflags(write=False)
     return summary

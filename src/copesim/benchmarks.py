@@ -43,8 +43,8 @@ def centralized_efforts(theta, cost_kind: str, var0: float) -> np.ndarray:
         np.put_along_axis(efforts, winner[..., None], q[..., None], axis=-1)
         return efforts
     if cost_kind == QUADRATIC:
-        W = mechanism.cubic_root(1.0 / var0, np.sum(1.0 / theta, axis=-1,
-                                                    keepdims=True))
+        W = mechanism.cubic_root(1.0 / var0,
+                                 mechanism.row_sums(1.0 / theta)[..., None])
         return 1.0 / (theta * W * W)
     raise ValueError(f"no centralized closed form for cost kind {cost_kind!r}")
 
@@ -194,16 +194,16 @@ def homogeneous_predict(contract: HomogeneousContract, reports, prior:
 
 
 def homogeneous_settle(contract: HomogeneousContract, x, reports, efforts,
-                       totals: Callable, prior: GaussianPrior,
+                       m, totals: Callable, prior: GaussianPrior,
                        n_denominator: Optional[int] = None) -> Tuple:
     """A posted contract (q_dagger > 0) settled from the participants'
-    reports, efforts and trials' latent states x, totals(v) summing their
-    values v per trial: homogeneous_predict's prediction and the exact
-    expected squared error per trial (each report weighs c_m in the
-    aggregate), and each one's payment alpha - beta (x - report)^2."""
+    reports, efforts and trials' latent states x, with m the participant
+    count of each trial and totals(v) summing their values v per trial:
+    homogeneous_predict's prediction and the exact expected squared error
+    per trial (each report weighs c_m in the aggregate), and each one's
+    payment alpha - beta (x - report)^2."""
     var0, mu0, prec = prior.var0, prior.mu0, prior.precision
     q_dag = contract.q_dagger
-    m = totals(np.ones_like(reports))
     den = prec + (m if n_denominator is None else n_denominator) * q_dag
     den = np.where(den > 0, den, 1.0)
     dev = q_dag * totals(reports + (reports - mu0) * (prec / q_dag) - mu0)

@@ -18,9 +18,10 @@ responses only at types at or below its cut.
 Every stage after designate (observe, settle, metrics) works on the chunk's
 engaged agents, those that exert effort or file a report: the recruited
 winner under cope-linear and the linear planner, the takers of a posted
-contract, every agent otherwise.  Per-trial totals equal the (T, N) row
+contract, every agent otherwise.  Per-trial totals equal numpy's (T, N) row
 sums bit for bit: each trial takes its engaged agent's value when none has
-two, numpy's row sum over a dense block of the engaged trials otherwise.
+two; otherwise mechanism.row_sums adds the columns of a dense block of the
+engaged trials (or of the chunk) in numpy's pairwise association.
 Only the engaged agents' noise is converted to normals, and a chunk's types
 are ranked once.  Only run_trial builds the dense per-agent record.
 Statistics merge fixed 4 096-trial blocks of all metrics at once, so they
@@ -211,8 +212,10 @@ class _Engaged:
     a report.  flat holds their sorted flat indices into the chunk, or is
     None when every agent is engaged.  The stages after designate hold one
     entry per engaged agent, or the (T, N) arrays themselves when every
-    agent is engaged, and reduce them to per-trial totals that equal the
-    (T, N) row sums with zeros elsewhere bit for bit."""
+    agent is engaged, and reduce them to per-trial totals that equal
+    numpy's (T, N) row sums with zeros elsewhere bit for bit: column adds in
+    the row reduce's association (mechanism.row_sums) over one dense block,
+    whose flat layout is computed once, and exact integer counts."""
 
     def __init__(self, shape: Tuple[int, int], flat: Optional[np.ndarray]):
         self.shape = shape
@@ -221,9 +224,9 @@ class _Engaged:
             # 32-bit rows and columns where they fit: a posted contract
             # can engage most of the chunk
             small = shape[0] * shape[1] <= np.iinfo(np.int32).max
-            self._index = np.int32 if small else np.intp
-            self.rows, self.cols = np.divmod(flat.astype(self._index),
-                                             self._index(shape[1]))
+            index = np.int32 if small else np.intp
+            self.rows, self.cols = np.divmod(flat.astype(index),
+                                             index(shape[1]))
 
     def take(self, a: np.ndarray) -> np.ndarray:
         """The engaged entries of a (T, N) array."""
@@ -235,32 +238,47 @@ class _Engaged:
 
     @functools.cached_property
     def _block(self):
-        """None when no trial has two engaged agents, else the dense-block
-        layout of the trials with one: each entry's block row, and the
-        block's trials."""
+        """None when no trial has two engaged agents, else the layout of a
+        dense (trials, N) block of the trials with one: each entry's flat
+        index into it, and the block's trials."""
         start = np.empty(self.rows.size, dtype=bool)
         start[:1] = True
         np.not_equal(self.rows[1:], self.rows[:-1], out=start[1:])
         if start.all():
             return None
-        return np.cumsum(start, dtype=self._index) - 1, self.rows[start]
+        index = np.cumsum(start, dtype=np.intp)
+        index -= 1
+        index *= self.shape[1]
+        index += self.cols
+        return index, self.rows[start]
 
     def totals(self, v: np.ndarray) -> np.ndarray:
         """Per-trial sums of the engaged values v.  When no trial has two
-        engaged agents each takes its value; otherwise numpy's row sum over
-        a dense block of the trials with one keeps the association of the
-        (T, N) row sum."""
+        engaged agents each takes its value; otherwise mechanism.row_sums
+        over a dense block of the trials with one keeps the association of
+        numpy's (T, N) row sum."""
         if self.flat is None:
-            return v.sum(axis=1)
+            return mechanism.row_sums(v)
         out = np.zeros(self.shape[0])
         if self._block is None:
-            out[self.rows] = v
+            out[self.rows] = v + 0.0    # the row sum's 0.0 + v: -0.0 gives 0.0
             return out
-        block_row, trials = self._block
+        index, trials = self._block
         block = np.zeros((trials.size, self.shape[1]))
-        block[block_row, self.cols] = v
-        out[trials] = block.sum(axis=1)
+        block.reshape(-1)[index] = v
+        if trials.size == out.size:
+            return mechanism.row_sums(block)
+        out[trials] = mechanism.row_sums(block)
         return out
+
+    def counts(self, where: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-trial counts, as floats, of the engaged agents, or of those
+        where the mask where over them is set (required when every agent is
+        engaged): exact, so equal to the row sums of the (T, N) indicators."""
+        if self.flat is None:
+            return mechanism.row_sums(where)
+        rows = self.rows if where is None else self.rows[where]
+        return np.bincount(rows, minlength=self.shape[0]).astype(float)
 
     def dense(self, v, fill) -> np.ndarray:
         """A (T, N) array holding v at the engaged entries, fill elsewhere."""
@@ -312,7 +330,7 @@ def _finish_metrics(scenario: Scenario, x, eng: _Engaged, types, efforts,
     row["expected_sq_error"][:] = risk if expected_sq is None else expected_sq
     row["total_payment"][:] = total_pay
     row["total_cost"][:] = total_cost
-    row["positive_effort_count"][:] = eng.totals((efforts > 0).astype(float))
+    row["positive_effort_count"][:] = eng.counts(efforts > 0)
     return out
 
 
@@ -434,7 +452,8 @@ def _settle_homogeneous(cell: _Cell, x, eng, efforts, obs, est, terms):
         return np.full(x.size, prior.mu0), np.zeros(0), \
             np.full(x.size, prior.var0), est, np.nan
     return (*benchmarks.homogeneous_settle(contract, eng.at_trial(x), est,
-                                           efforts, eng.totals, prior, n_den),
+                                           efforts, eng.counts(), eng.totals,
+                                           prior, n_den),
             est, np.nan)
 
 

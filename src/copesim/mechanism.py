@@ -54,6 +54,52 @@ def rank_rows(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return winner.reshape(lead), lowest.reshape(lead), second.reshape(lead)
 
 
+def row_sums(a) -> np.ndarray:
+    """a.sum(axis=-1) of a C-contiguous (..., N) array, bit for bit, by
+    adding whole columns in the association of numpy's pairwise reduce over
+    one contiguous row: that reduce starts from 0.0 and adds the terms in
+    order below 8 of them, and in the blocks of _pairwise_columns above.
+    numpy reduces a (T, N) block one short row at a time; the column adds
+    run over all T rows at once."""
+    a = np.asarray(a, dtype=float)
+    lead, n = a.shape[:-1], a.shape[-1]
+    cols = a.reshape(math.prod(lead), n).T
+    out = np.zeros(cols.shape[1])
+    if n < 8:
+        for c in cols:
+            out += c
+    else:
+        out += _pairwise_columns(cols)
+    return out.reshape(lead)[()]
+
+
+def _pairwise_columns(cols: np.ndarray) -> np.ndarray:
+    """numpy's pairwise_sum of n >= 8 terms, elementwise over the columns of
+    an (n, m) array: up to 128 terms, eight accumulators seeded with terms
+    0-7 each add every 8th term up to n - n % 8, combine as ((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rest are added in order;
+    above 128, the halves split at a multiple of 8 are summed alone."""
+    n = cols.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_columns(cols[:half])
+        out += _pairwise_columns(cols[half:])
+        return out
+    k = n - n % 8
+    r = [cols[j] + cols[j + 8] for j in range(8)] if k > 8 else list(cols[:8])
+    for i in range(16, k, 8):
+        for j in range(8):
+            r[j] += cols[i + j]
+    out = r[0] + r[1]
+    out += r[2] + r[3]
+    right = r[4] + r[5]
+    right += r[6] + r[7]
+    out += right
+    for c in cols[k:]:
+        out += c
+    return out
+
+
 def argmin_winner_batch(theta_hat: np.ndarray, tie_break: str = "lowest-index",
                         tie_uniforms: Optional[np.ndarray] = None,
                         rank=None) -> np.ndarray:
@@ -97,28 +143,47 @@ def cubic_root(a, b):
 
     Closed form for the depressed cubic plus one Newton polish step; an extra
     step is applied only if the first leaves a residual above 1e-12 relative
-    (cancellation when b << a^3).  Vectorized over broadcastable a, b.
+    (cancellation in the second cube root's argument when b >> a^3).
+    Vectorized over broadcastable a, b.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    # each step in place where the operand order allows; a 0-d call gets
+    # numpy scalars, which the augmented operators rebind
     a3 = a * a * a
     t = a3 / 27.0 + b / 2.0
-    s = np.sqrt(a3 * b / 27.0 + b * b / 4.0)
-    W = a / 3.0 + np.cbrt(t + s) + np.cbrt(t - s)
+    s = a3 * b
+    s /= 27.0
+    s += b * b / 4.0
+    s = np.sqrt(s)
+    W = np.cbrt(t + s)
+    W += a / 3.0
+    t -= s
+    W += np.cbrt(t)
     del t, s                # free the temporaries before the polish
 
     def polish(W):
         W2 = W * W
-        f = W2 * W - a * W2 - b
-        fp = 3.0 * W2 - 2.0 * a * W
-        return np.where(fp > 0, W - f / np.where(fp > 0, fp, 1.0), W)
+        f = W2 * W
+        f -= a * W2
+        f -= b
+        W2 *= 3.0           # now the slope 3 W^2 - 2 a W
+        W2 -= 2.0 * a * W
+        up = W2 > 0
+        f /= np.where(up, W2, 1.0)
+        return np.where(up, W - f, W)
 
     W = polish(W)
     W2 = W * W
-    W3 = W2 * W
-    res = np.abs(W3 - a * W2 - b) / np.maximum(1.0, W3)
-    if np.any(res > 1e-12):
-        W = np.where(res > 1e-12, polish(W), W)
+    res = W2 * W
+    scale = np.maximum(1.0, res)
+    res -= a * W2
+    res -= b
+    res = np.abs(res)
+    res /= scale
+    off = res > 1e-12
+    if off.any():
+        W = np.where(off, polish(W), W)
     return W
 
 
@@ -126,9 +191,9 @@ def _quadratic_schedule(theta_hat, theta_lo: float, var0: float):
     """(q, 1/gamma, sum of 1/gamma) under quadratic cost for (..., N) reports:
     q_n = 1/(gamma_n W^2) with W^3 - W^2/var0 = sum of 1/gamma_n."""
     inv_gamma = 1.0 / _virtual_costs(theta_hat, theta_lo)
-    s_total = inv_gamma.sum(axis=-1, keepdims=True)
-    W = cubic_root(1.0 / var0, s_total)
-    return inv_gamma / (W * W), inv_gamma, s_total
+    s_total = row_sums(inv_gamma)
+    W = cubic_root(1.0 / var0, s_total)[..., None]
+    return inv_gamma / (W * W), inv_gamma, s_total[..., None]
 
 
 def effort_quadratic(theta_hat, theta_lo: float, var0: float) -> np.ndarray:
@@ -147,7 +212,7 @@ def quadratic_effort_at(theta, s_rest, theta_lo: float, var0: float):
 
 def inverse_cost_sum(theta_rest, theta_lo: float) -> np.ndarray:
     """Rival reports' summed inverse virtual costs 1/gamma, last axis."""
-    return (1.0 / _virtual_costs(theta_rest, theta_lo)).sum(axis=-1)
+    return row_sums(1.0 / _virtual_costs(theta_rest, theta_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +708,10 @@ def predict_batch(prior: GaussianPrior, reports: np.ndarray,
     """
     active = efforts > 0
     prec = prior.precision
-    n_active = active.sum(axis=-1)
-    num = (1 - n_active) * prior.mu0 * prec + np.sum(
-        np.where(active, (prec + efforts) * reports, 0.0), axis=-1)
-    den = prec + np.sum(np.where(active, efforts, 0.0), axis=-1)
+    n_active = row_sums(active)
+    num = (1 - n_active) * prior.mu0 * prec + row_sums(
+        np.where(active, (prec + efforts) * reports, 0.0))
+    den = prec + row_sums(np.where(active, efforts, 0.0))
     # den is 0 only at var0 = inf with nobody active
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), prior.mu0)
 

@@ -478,7 +478,8 @@ def test_flat_settle_matches_the_dense_settle(kind, var0, n_den):
     x = gen.normal(0.3, 1.0, counts.size)
     eng = engine._Engaged(take.shape, np.flatnonzero(take))
     got = B.homogeneous_settle(contract, eng.at_trial(x), eng.take(est),
-                               eng.take(efforts), eng.totals, prior, n_den)
+                               eng.take(efforts), eng.counts(), eng.totals,
+                               prior, n_den)
     want = _dense_settle(contract, x, np.where(take, est, np.nan), efforts,
                          take, prior, n_den)
     for g, w in zip(got, (want[0], eng.take(want[1]), want[2])):

@@ -105,6 +105,49 @@ def test_observe_matches_the_masked_formula(mask, var0):
         assert np.array_equal(got, eng.take(want), equal_nan=True)
 
 
+def _engagement_patterns(gen, T, N):
+    """(name, (T, N) mask) engagement patterns."""
+    one = np.arange(N) == gen.integers(0, N, T)[:, None]
+    some_full = np.broadcast_to(gen.random((T, 1)) < 0.3, (T, N))
+    return [("none", np.zeros((T, N), dtype=bool)), ("one per trial", one),
+            ("every agent of some trials", some_full),
+            ("every agent", np.ones((T, N), dtype=bool))] + \
+        [(f"random {p:.0%}", gen.random((T, N)) < p) for p in (0.05, 0.5, 0.95)]
+
+
+@pytest.mark.parametrize("N", [1, 7, 8, 9, 19, 130])
+def test_engaged_totals_and_counts_match_dense_row_sums(N):
+    # per-trial totals and counts from the engaged entries alone equal the
+    # dense (T, N) row sums with zeros elsewhere bit for bit, signed zeros
+    # included, whether the dense block holds every trial or only some
+    gen = np.random.default_rng(N)
+    T = 300
+    dense = gen.choice([-1.0, 1.0], (T, N)) * 10.0 ** gen.uniform(-8, 8, (T, N))
+    dense[gen.random((T, N)) < 0.1] = -0.0
+    blocks = set()
+    for name, mask in _engagement_patterns(gen, T, N):
+        eng = engine._Engaged((T, N), np.flatnonzero(mask))
+        v = eng.take(dense)
+        positive = v > 0
+        if eng._block is not None:
+            blocks.add(eng._block[1].size == T)
+        want = np.where(mask, dense, 0.0).sum(axis=1)
+        got = eng.totals(v)
+        assert np.array_equal(got, want) and \
+            np.array_equal(np.signbit(got), np.signbit(want)), name
+        assert np.array_equal(eng.counts(), mask.sum(axis=1).astype(float))
+        assert np.array_equal(eng.counts(positive),
+                              (mask & (dense > 0)).sum(axis=1).astype(float))
+    # every agent engaged, as the (T, N) arrays themselves
+    eng = engine._Engaged((T, N), None)
+    got = eng.totals(dense)
+    assert np.array_equal(got, dense.sum(axis=1))
+    assert np.array_equal(np.signbit(got), np.signbit(dense.sum(axis=1)))
+    assert np.array_equal(eng.counts(dense > 0),
+                          (dense > 0).sum(axis=1).astype(float))
+    assert blocks == (set() if N == 1 else {True, False})
+
+
 # -- the engaged-agent pipeline against the dense one -------------------------
 #
 # The oracle is the dense pipeline the engine ran before it worked on the

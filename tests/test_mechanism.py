@@ -128,7 +128,101 @@ def test_rank_rows_matches_argmin_and_partition(n):
         assert np.any(second == lowest)     # the tied rows did tie
 
 
+# -- row sums ----------------------------------------------------------------
+
+def _row_sum_cases(gen, lead, n):
+    """(lead + (n,)) arrays: magnitudes across 1e-15..1e15 of both signs with
+    signed zeros and subnormals, then rows of -0.0, of +-inf and with NaN."""
+    size = lead + (n,)
+    a = gen.choice([-1.0, 1.0], size) * 10.0 ** gen.uniform(-15, 15, size)
+    pick = gen.random(size)
+    a[pick < 0.1] = 0.0
+    a[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    a[(pick >= 0.2) & (pick < 0.25)] = 5e-324 * gen.integers(-9, 10)
+    yield a
+    if lead and n:
+        rows = a.reshape(-1, n)
+        rows[0] = -0.0
+        rows[1, gen.integers(n)] = np.inf
+        rows[2, gen.integers(n)] = -np.inf
+        rows[3, :2] = [np.inf, -np.inf][:min(n, 2)]
+        rows[4, gen.integers(n)] = np.nan
+        rows[5] = 1e-310 * gen.integers(-3, 4, n)
+        yield a
+
+
+@pytest.mark.parametrize("lead", [(60,), (3, 20), ()])
+def test_row_sums_match_numpy_bit_for_bit(lead):
+    # below 8 terms, the eight-accumulator range up to 128 and the pairwise
+    # splits above it, on C-contiguous arrays
+    gen = np.random.default_rng(len(lead))
+    for n in [*range(141), 255, 256, 257, 300]:
+        for a in _row_sum_cases(gen, lead, n):
+            with np.errstate(invalid="ignore"):     # inf - inf
+                want = a.sum(axis=-1)
+                got = mechanism.row_sums(a)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True), n
+            real = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got)[real],
+                                  np.signbit(want)[real]), n
+
+
 # -- aggregate-precision cubic ------------------------------------------------
+
+def _cubic_root_reference(a, b, second_polish=None):
+    """cubic_root as one expression per step; second_polish, a list, records
+    whether the second polish step ran."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a3 = a * a * a
+    t = a3 / 27.0 + b / 2.0
+    s = np.sqrt(a3 * b / 27.0 + b * b / 4.0)
+    W = a / 3.0 + np.cbrt(t + s) + np.cbrt(t - s)
+
+    def polish(W):
+        W2 = W * W
+        f = W2 * W - a * W2 - b
+        fp = 3.0 * W2 - 2.0 * a * W
+        return np.where(fp > 0, W - f / np.where(fp > 0, fp, 1.0), W)
+
+    W = polish(W)
+    W2 = W * W
+    W3 = W2 * W
+    res = np.abs(W3 - a * W2 - b) / np.maximum(1.0, W3)
+    if second_polish is not None:
+        second_polish.append(bool(np.any(res > 1e-12)))
+    if np.any(res > 1e-12):
+        W = np.where(res > 1e-12, polish(W), W)
+    return W
+
+
+def test_cubic_root_matches_the_reference_bit_for_bit():
+    gen = np.random.default_rng(5)
+    n = 9
+    cases = {
+        "0-d": (np.asarray(0.25), np.asarray(3.0)),
+        "floats": (4.0, 0.5),
+        "scalar a": (1.0, gen.uniform(0.0, 50.0, 40)),
+        "scalar b": (gen.uniform(0.0, 5.0, 40), 2.0),
+        "(2, 1) x (2, n)": (gen.uniform(0.1, 5.0, (2, 1)),
+                            gen.uniform(0.0, 50.0, (2, n))),
+        "b = 0": (np.array([0.5, 1.0, 4.0, 1e6]), 0.0),
+        "b << a^3": (np.array([10.0, 100.0, 1e3]),
+                     np.array([1e-9, 1e-6, 1e-12])),
+        # t - s cancels: the second polish runs
+        "b >> a^3": (0.25, np.array([1.0, 1e5, 2e5])),
+        "large b": (0.25, np.array([1e8, 1e15, 1e20, 1e100])),
+    }
+    for name, (a, b) in cases.items():
+        fired = []
+        want = _cubic_root_reference(a, b, fired)
+        got = mechanism.cubic_root(a, b)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64)), name
+        assert fired == [name == "b >> a^3"]
+
 
 def test_cubic_root_unit_cases():
     # W^3 = 1 and W^3 - W^2 = 0 with b = 0
