@@ -9,7 +9,9 @@ Runs, in the checkout at --root (default: the one this script sits in):
 - ``perfbench/run.py --workload all --trace 1``: the exact work counts
   (``rng.words``, the ``cubic_root`` and ``reward_effort_quadratic``
   elements, the rent-tail elements = ``quadratic_pi_tail_gl.nodes`` / 48,
-  the ``effort_general`` and ``quad`` calls);
+  the ``effort_general`` and ``quad`` calls), and the oracle times of each
+  workload: every ``verify.<suite>.s`` suite time and every
+  ``agents.*self_s`` self time;
 - ``scripts/reproduce_figures.py -w 1``, serial: the wall time of each cost
   family (its manifest's ``elapsed_s``) and the SHA-256 of both
   ``results.csv`` files;
@@ -85,6 +87,20 @@ def work_counts(runs: dict) -> dict:
     return counts
 
 
+def oracle_times(runs: dict) -> dict:
+    """Each workload's agents-layer self times and the times of the verify
+    suites it runs (perfbench reports 0 for a suite a workload does not
+    run)."""
+    times = {}
+    for name, res in runs.items():
+        values = {m: v["value"] for m, v in res["metrics"].items()}
+        times[name] = {m: v for m, v in values.items()
+                       if m.startswith("agents.") and m.endswith("self_s")
+                       or m.startswith("verify.") and m != "verify.self_s"
+                       and v}
+    return times
+
+
 def headline(root) -> dict:
     """Both cost families of the headline reproduction, serially."""
     with tempfile.TemporaryDirectory() as out:
@@ -145,7 +161,9 @@ def main(argv=None) -> int:
         return 2
     record = dict(label=args.label, environment=environment(root),
                   source=source(root))
-    record["work_counts"] = work_counts(perfbench(root, 1))
+    traced = perfbench(root, 1)
+    record["work_counts"] = work_counts(traced)
+    record["oracle_times"] = oracle_times(traced)
     record["end_to_end"] = end_to_end(perfbench(root, 0))
     record["headline"] = headline(root)
     record["tier1"] = tier1(root)

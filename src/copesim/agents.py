@@ -14,9 +14,14 @@ Each (scenario, n_mc >= 2, seed) is drawn once, sorted by that summary and
 shared by all oracles (_rival_draws).  A linear candidate, and its rent
 tail, is scored only on the draws where it undercuts every rival, a suffix
 of the sorted draws (none if its effort clamps to 0); a quadratic one on
-every draw.  Each statistic adds the exact zeros of the unpaid draws, so it
-is the dense draw-order one up to summation order, and every scored entry
-is bitwise the dense entry.
+every draw.  A linear candidate's payoff is its own column, computed once
+per oracle call, plus one per-draw term, the rent tail's antiderivative at
+the lowest rival report; the terms are added in the association of the
+broadcast transfer and payoff formulas, so each entry is bitwise the
+broadcast one.  Each statistic adds the exact zeros of the unpaid draws, so
+it is the dense draw-order one up to summation order, and every scored
+entry is bitwise the dense entry.  The statistics reduce in scratch
+buffers that each oracle call allocates for itself.
 """
 
 from __future__ import annotations
@@ -131,9 +136,28 @@ def _sorted_draws(kind, dist, n_agents, n_mc, seed) -> np.ndarray:
 def _payoff_matrix(theta: float, candidates, effort_policy,
                    scenario: Scenario, summary: np.ndarray) -> np.ndarray:
     """(n_candidates, n_draws) COPE payoffs of an agent of type theta reporting
-    each candidate against each draw's rival summary (_rival_draws).
-    effort_policy: "optimal" (the agent's reply to the stake K) or
+    each candidate against each draw's rival summary (_rival_draws), in any
+    order.  effort_policy: "optimal" (the agent's reply to the stake K) or
     "designated" (the mechanism's Q)."""
+    candidates = np.asarray(candidates, dtype=float).reshape(-1)
+    return _scorer(theta, candidates, effort_policy, scenario,
+                   summary)(0, candidates.size, 0)
+
+
+def _scorer(theta: float, candidates: np.ndarray, effort_policy: str,
+            scenario: Scenario, summary: np.ndarray):
+    """score(i, j, k): the payoffs (_payoff_matrix) of candidates[i:j]
+    against the draws summary[k:].
+
+    A paid linear entry is pi - K/(prec+q) + S - C(q, theta) with pi = th Q
+    + A(min(theta_hi, m)) - A(min(th, theta_hi)), A the clamped
+    antiderivative (mechanism.linear_tail_anti) and m the draw's lowest
+    rival report: only that one term depends on the draw.  The
+    per-candidate columns and the per-draw row are computed once; a block
+    adds them in the association of linear_winner_components and
+    effort_payoff, so each entry is bitwise the broadcast one.  Only a
+    winner (th < m) is paid, and not if its effort clamps to 0; the mask
+    holds for draws in any order."""
     if effort_policy not in ("optimal", "designated"):
         raise ValueError(f"unknown effort policy {effort_policy!r}; use "
                          "'optimal' or 'designated'")
@@ -143,22 +167,39 @@ def _payoff_matrix(theta: float, candidates, effort_policy,
     prec = scenario.prior.precision
     # a (rows, 1) column, never a 0-d scalar: numpy's scalar power rounds
     # differently from its array loop
-    th = np.asarray(candidates, dtype=float).reshape(-1, 1)
-    if _closed_form_kind(scenario) == LINEAR:
-        pi, K, S, Q = mechanism.linear_winner_components(
-            th, np.minimum(hi, summary), lo, var0)
-        # only a winner is paid, and not if its effort clamps to 0
-        paid = (th < summary) & (Q > 0.0)
-        reply = optimal_effort_linear
-    else:
-        Q, W = mechanism.quadratic_effort_at(th, summary, lo, var0)
-        pi, K, S = mechanism.quadratic_transfers(th, Q, summary, lo, hi, var0,
-                                                 W_from=W)
-        paid = True
-        reply = reward_effort_quadratic
-    q = reply(K, theta, prec) if effort_policy == "optimal" else Q
-    return np.where(paid, effort_payoff(q, theta, K, S, pi,
-                                        scenario.cost_model, prec), 0.0)
+    th = candidates.reshape(-1, 1)
+    if _closed_form_kind(scenario) != LINEAR:
+        def score(i, j, k):
+            Q, W = mechanism.quadratic_effort_at(th[i:j], summary[k:], lo,
+                                                 var0)
+            pi, K, S = mechanism.quadratic_transfers(
+                th[i:j], Q, summary[k:], lo, hi, var0, W_from=W)
+            q = reward_effort_quadratic(K, theta, prec) \
+                if effort_policy == "optimal" else Q
+            return effort_payoff(q, theta, K, S, pi, scenario.cost_model,
+                                 prec)
+        return score
+
+    # a zero-width tail: the first component is the cost th Q alone
+    thQ, K, S, Q = mechanism.linear_winner_components(th, th, lo, var0)
+    q = optimal_effort_linear(K, theta, prec) \
+        if effort_policy == "optimal" else Q
+    tail_from = mechanism.linear_tail_anti(np.minimum(th, hi), lo, var0)
+    reward = K / (prec + q)
+    spent = cost(scenario.cost_model, q, theta)
+    idle = Q[:, 0] == 0.0
+    tail_to = mechanism.linear_tail_anti(np.minimum(hi, summary), lo, var0)
+
+    def score(i, j, k):
+        out = np.subtract(tail_to[k:], tail_from[i:j])
+        out += thQ[i:j]
+        out -= reward[i:j]
+        out += S[i:j]
+        out -= spent[i:j]
+        np.copyto(out, 0.0, where=summary[k:] <= th[i:j])
+        out[idle[i:j]] = 0.0
+        return out
+    return score
 
 
 @dataclass(frozen=True)
@@ -198,6 +239,7 @@ def _score_blocks(theta: float, candidates: np.ndarray, scenario: Scenario,
     takes no candidate whose paid suffix is under 3/4 of the block's, which
     bounds the columns scored in vain."""
     n = summary.size
+    score = _scorer(theta, candidates, effort_policy, scenario, summary)
     first = _first_paid(candidates, scenario, summary)
     blocks = []
     i = 0
@@ -206,21 +248,42 @@ def _score_blocks(theta: float, candidates: np.ndarray, scenario: Scenario,
         while (j < candidates.size and 4 * (n - first[j]) >= 3 * (n - k)
                and (j + 1 - i) * (n - min(k, first[j])) <= _BLOCK):
             k, j = min(k, first[j]), j + 1
-        blocks.append((k, _payoff_matrix(theta, candidates[i:j],
-                                         effort_policy, scenario,
-                                         summary[k:])))
+        blocks.append((k, score(i, j, k)))
         i = j
     return blocks
 
 
-def _mean_se(values: np.ndarray, n: int, zeros: int,
+class _Scratch:
+    """One flat float buffer that an oracle call reduces its blocks in,
+    grown to the largest (rows, columns) shape asked for and reused."""
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def __call__(self, shape) -> np.ndarray:
+        size = shape[0] * shape[1]
+        if self._flat.size < size:
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
+
+
+def _mean_se(values: np.ndarray, n: int, zeros: int, work: _Scratch,
              prefix: np.ndarray = np.empty(0)):
     """Mean and standard error of rows of n draws: `zeros` exact zeros, then
     the shared `prefix`, then each row of `values`.  The same sums as a dense
-    row's mean and std(ddof=1), up to summation order."""
-    mean = (prefix.sum() + values.sum(axis=1)) / n
-    ss = (((values - mean[:, None]) ** 2).sum(axis=1)
-          + ((prefix - mean[:, None]) ** 2).sum(axis=1) + zeros * mean ** 2)
+    row's mean and std(ddof=1), up to summation order.  The deviations are
+    squared and summed in work, which values may occupy itself."""
+    mean = values.sum(axis=1)
+    mean += prefix.sum()
+    mean /= n
+    dev = np.subtract(values, mean[:, None], out=work(values.shape))
+    np.square(dev, out=dev)
+    ss = dev.sum(axis=1)
+    dev = np.subtract(prefix, mean[:, None],
+                      out=work((mean.size, prefix.size)))
+    np.square(dev, out=dev)
+    ss += dev.sum(axis=1)
+    ss += zeros * np.square(mean)
     return mean, np.sqrt(ss / (n - 1)) / np.sqrt(n)
 
 
@@ -233,7 +296,7 @@ def interim_payoff(theta: float, theta_hat: float, effort_policy: str,
     [(k, values)] = _score_blocks(theta, np.array([theta_hat], dtype=float),
                                   scenario, _rival_draws(scenario, n_mc, seed),
                                   effort_policy)
-    mean, se = _mean_se(values, n_mc, k)
+    mean, se = _mean_se(values, n_mc, k, _Scratch())
     return InterimPayoff(value=float(mean[0]), se=float(se[0]), n_mc=n_mc)
 
 
@@ -248,13 +311,14 @@ def best_response_type(theta: float, scenario: Scenario, n_grid: int = 101,
     step = (hi - lo) / (n_grid - 1)
     blocks = _score_blocks(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
                            scenario, summary, "optimal")
-    stats = [_mean_se(values, n_mc, k) for k, values in blocks]
+    work = _Scratch()
+    stats = [_mean_se(values, n_mc, k, work) for k, values in blocks]
     t0 = coarse[int(np.argmax(np.concatenate([m for m, _ in stats])))]
     fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
     fine_blocks = _score_blocks(theta, np.clip(fine, lo + TYPE_CLAMP, hi),
                                 scenario, summary, "optimal")
     blocks += fine_blocks
-    stats += [_mean_se(values, n_mc, k) for k, values in fine_blocks]
+    stats += [_mean_se(values, n_mc, k, work) for k, values in fine_blocks]
     # a fine candidate equal to a coarse one keeps the coarse row
     grid, first = np.unique(np.concatenate([coarse, fine]), return_index=True)
     payoffs = np.concatenate([m for m, _ in stats])[first]
@@ -264,8 +328,8 @@ def best_response_type(theta: float, scenario: Scenario, n_grid: int = 101,
     best_row = np.zeros(n_mc)
     best_row[k_best:] = row
     paired_ses = np.concatenate([
-        _mean_se(best_row[k:] - values, n_mc, min(k, k_best),
-                 best_row[min(k, k_best):k])[1]
+        _mean_se(np.subtract(best_row[k:], values, out=work(values.shape)),
+                 n_mc, min(k, k_best), work, best_row[min(k, k_best):k])[1]
         for k, values in blocks])[first]
     in_set = payoffs[best] - payoffs <= 3.0 * paired_ses + 1e-12
     return BestResponseType(theta_star=float(grid[best]),
@@ -327,5 +391,5 @@ def information_rent(theta: float, scenario: Scenario, n_mc: int = 10_000,
     else:
         tail = 0.5 * mechanism.quadratic_pi_tail_gl(theta, summary, lo, hi,
                                                     var0)
-    mean, se = _mean_se(tail[None, :], n_mc, k)
+    mean, se = _mean_se(tail[None, :], n_mc, k, _Scratch())
     return InterimPayoff(value=float(mean[0]), se=float(se[0]), n_mc=n_mc)

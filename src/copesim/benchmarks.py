@@ -201,18 +201,37 @@ def homogeneous_settle(contract: HomogeneousContract, x, reports, efforts,
     count of each trial and totals(v) summing their values v per trial:
     homogeneous_predict's prediction and the exact expected squared error
     per trial (each report weighs c_m in the aggregate), and each one's
-    payment alpha - beta (x - report)^2."""
+    payment alpha - beta (x - report)^2.  The per-trial terms are formed
+    only on the trials with a participant; the others predict mu0 and err
+    by var0, which is what c_m = 0 gives exactly."""
     var0, mu0, prec = prior.var0, prior.mu0, prior.precision
     q_dag = contract.q_dagger
+    risk = prec + efforts
+    sums = (totals(reports + (reports - mu0) * (prec / q_dag) - mu0),
+            totals(efforts / risk), totals(efforts / risk ** 2))
+    n_trials = m.size
+    taker = m > 0
+    taken = None if taker.all() else np.flatnonzero(taker)
+    if taken is not None:
+        m, sums = m[taken], [v[taken] for v in sums]
     den = prec + (m if n_denominator is None else n_denominator) * q_dag
     den = np.where(den > 0, den, 1.0)
-    dev = q_dag * totals(reports + (reports - mu0) * (prec / q_dag) - mu0)
-    c_m = np.where(m > 0, (q_dag + prec) / den, 0.0)
-    risk = prec + efforts
-    expected_sq = var0 * (1.0 - c_m * totals(efforts / risk)) ** 2 \
-        + c_m ** 2 * totals(efforts / risk ** 2)
-    return (np.where(m > 0, mu0 + dev / den, mu0),
-            contract.alpha - contract.beta * (x - reports) ** 2, expected_sq)
+    c_m = (q_dag + prec) / den
+    prediction = mu0 + q_dag * sums[0] / den
+    expected_sq = var0 * (1.0 - c_m * sums[1]) ** 2 + c_m ** 2 * sums[2]
+    if taken is not None:
+        prediction = _filled(n_trials, taken, prediction, mu0)
+        expected_sq = _filled(n_trials, taken, expected_sq, var0)
+    return prediction, contract.alpha - contract.beta * (x - reports) ** 2, \
+        expected_sq
+
+
+def _filled(size: int, index: np.ndarray, values: np.ndarray,
+            fill: float) -> np.ndarray:
+    """A (size,) array holding values at index, fill elsewhere."""
+    out = np.full(size, fill)
+    out[index] = values
+    return out
 
 
 # -- principal's exact expected payoff and the opt-out decision ----------------

@@ -62,6 +62,8 @@ def row_sums(a) -> np.ndarray:
     numpy reduces a (T, N) block one short row at a time; the column adds
     run over all T rows at once."""
     a = np.asarray(a, dtype=float)
+    if a.ndim == 1:         # one contiguous row is numpy's own reduce
+        return a.sum(axis=-1)
     lead, n = a.shape[:-1], a.shape[-1]
     cols = a.reshape(math.prod(lead), n).T
     out = np.zeros(cols.shape[1])
@@ -277,18 +279,24 @@ def linear_pi_quad(theta_hat_win: float, theta_rest, theta_lo: float,
     return theta_hat_win * q_win + tail
 
 
+def linear_tail_anti(z, theta_lo: float, var0: float) -> np.ndarray:
+    """Antiderivative sqrt(2z-lo) - z/var0 of the clamped schedule
+    max{(2z-lo)^(-1/2) - 1/var0, 0}, taken at min(z, linear_clamp_point),
+    past which the schedule is 0.  Vectorized."""
+    z = np.minimum(np.asarray(z, dtype=float),
+                   linear_clamp_point(theta_lo, var0))
+    return np.sqrt(np.maximum(2.0 * z - theta_lo, 0.0)) - (1.0 / var0) * z
+
+
 def linear_tail_closed(a, b, theta_lo: float, var0: float) -> np.ndarray:
-    """Exact integral of the clamped schedule max{(2z-lo)^(-1/2) - 1/var0, 0}
-    over [a, b] (0 when b <= a); antiderivative sqrt(2z-lo) - z/var0.
+    """Exact integral of the clamped schedule over [a, b]: the difference of
+    linear_tail_anti, 0 when b <= a or a is past the clamp point.
     Vectorized."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    prec = 1.0 / var0
-    zstar = linear_clamp_point(theta_lo, var0)
-    hi = np.minimum(b_arr, zstar)
-    lo_ = np.minimum(a_arr, zstar)
-    anti = lambda z: np.sqrt(np.maximum(2.0 * z - theta_lo, 0.0)) - prec * z
-    return np.where(hi > lo_, anti(hi) - anti(lo_), 0.0)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    live = (b > a) & (a < linear_clamp_point(theta_lo, var0))
+    return np.where(live, linear_tail_anti(b, theta_lo, var0)
+                    - linear_tail_anti(a, theta_lo, var0), 0.0)
 
 
 def linear_winner_components(theta_win, tail_upper, theta_lo: float,

@@ -280,6 +280,73 @@ def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
             assert np.array_equal(row, full[k:])
 
 
+def _broadcast_linear_payoffs(theta, candidates, policy, scenario, summary):
+    """The linear payoff matrix as one broadcast of the winner's transfer
+    components and effort_payoff over (candidates, draws), the paid mask
+    applied last: the reference for the column-and-row build."""
+    lo, hi = scenario.type_dist.theta_lo, scenario.type_dist.theta_hi
+    var0, prec = scenario.prior.var0, scenario.prior.precision
+    th = np.asarray(candidates, dtype=float).reshape(-1, 1)
+    pi, K, S, Q = mechanism.linear_winner_components(
+        th, np.minimum(hi, summary), lo, var0)
+    paid = (th < summary) & (Q > 0.0)
+    q = agents.optimal_effort_linear(K, theta, prec) \
+        if policy == "optimal" else Q
+    return np.where(paid, agents.effort_payoff(q, theta, K, S, pi,
+                                               scenario.cost_model, prec),
+                    0.0)
+
+
+@pytest.mark.parametrize("var0", [0.25, 1.0, 4.0, np.inf])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_linear_payoffs_match_the_broadcast_bit_for_bit(make_scenario, n,
+                                                        var0):
+    # sorted and draw-order draws (all +inf at N = 1), candidates equal to
+    # a draw, at the clamp point and above it, and the top type
+    scen = make_scenario(LINEAR, n, var0=var0)
+    lo, hi = scen.type_dist.theta_lo, scen.type_dist.theta_hi
+    draw_order = _summaries_in_draw_order(scen, 3000, 3)
+    assert np.all(np.isinf(draw_order)) == (n == 1)
+    clamp = mechanism.linear_clamp_point(lo, var0)
+    candidates = np.concatenate([
+        np.clip(np.linspace(lo, hi, 41), lo + TYPE_CLAMP, hi),
+        draw_order[np.isfinite(draw_order)][:3],
+        [c for c in (clamp, np.nextafter(clamp, 0.0), clamp + 0.01)
+         if lo < c <= hi]])
+    if n > 1:
+        assert np.isin(candidates, draw_order).sum() == 3
+    for summary in (draw_order, np.sort(draw_order)):
+        for policy in ("optimal", "designated"):
+            got = agents._payoff_matrix(0.3, candidates, policy, scen,
+                                        summary)
+            want = _broadcast_linear_payoffs(0.3, candidates, policy, scen,
+                                             summary)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            if var0 < 4.0:
+                assert not got[candidates >= clamp].any()
+
+
+def test_oracle_results_do_not_depend_on_call_order(make_scenario):
+    # each call reduces in its own scratch buffers: A, then B, then A again
+    # gives A bitwise
+    calls = [lambda: agents.best_response_type(0.3, make_scenario(LINEAR, 3),
+                                               n_mc=4000, seed=1),
+             lambda: agents.best_response_type(0.6, make_scenario(LINEAR, 7),
+                                               n_mc=9000, seed=2)]
+    first = [calls[0](), calls[1](), calls[0]()]
+    assert not np.array_equal(first[0].payoffs, first[1].payoffs)
+    for name in ("theta_star", "argmax_set", "grid", "payoffs", "ses",
+                 "paired_ses"):
+        a, again = getattr(first[0], name), getattr(first[2], name)
+        assert np.asarray(a).tobytes() == np.asarray(again).tobytes(), name
+    scen = make_scenario(LINEAR, 4)
+    pay = agents.interim_payoff(0.3, 0.25, "optimal", scen, n_mc=5000)
+    agents.best_response_type(0.3, scen, n_mc=5000)
+    assert agents.interim_payoff(0.3, 0.25, "optimal", scen,
+                                 n_mc=5000) == pay
+
+
 def _dense_best_response_type(theta, scenario, n_grid=101, n_mc=10_000,
                               seed=0):
     """The oracle as a dense (candidates, draws) payoff matrix in draw

@@ -466,27 +466,31 @@ def _dense_settle(contract, x, reports, efforts, take, prior, n_den):
 def test_flat_settle_matches_the_dense_settle(kind, var0, n_den):
     # the settle from the takers' flat arrays equals the dense (T, N)
     # evaluation bit for bit, on trials with 0, 1, 2, 8 and 12 takers and
-    # takers at zero effort
+    # takers at zero effort, in chunks where some trials, no trial or every
+    # trial has a taker
     N, prior = 12, GaussianPrior(0.3, var0)
     contract = B.homogeneous_contract(0.4, N, kind, var0)
     gen = np.random.default_rng(11)
-    counts = np.repeat([0, 1, 2, 8, 12], 40)
-    take = np.argsort(gen.random((counts.size, N)), axis=1) < counts[:, None]
-    efforts = np.where(gen.random(take.shape) < 0.1, 0.0,
-                       gen.uniform(0.0, 3.0, take.shape))
-    est = gen.normal(0.3, 1.0, take.shape)
-    x = gen.normal(0.3, 1.0, counts.size)
-    eng = engine._Engaged(take.shape, np.flatnonzero(take))
-    got = B.homogeneous_settle(contract, eng.at_trial(x), eng.take(est),
-                               eng.take(efforts), eng.counts(), eng.totals,
-                               prior, n_den)
-    want = _dense_settle(contract, x, np.where(take, est, np.nan), efforts,
-                         take, prior, n_den)
-    for g, w in zip(got, (want[0], eng.take(want[1]), want[2])):
-        assert np.array_equal(g, w)
-        assert np.all(np.signbit(g) == np.signbit(w))
-    assert np.all(got[0][counts == 0] == 0.3)
-    assert np.all(got[2][counts == 0] == var0)
+    for takers in ([0, 1, 2, 8, 12], [0], [1, 2, 8, 12]):
+        counts = np.repeat(takers, 40)
+        take = np.argsort(gen.random((counts.size, N)), axis=1) \
+            < counts[:, None]
+        efforts = np.where(gen.random(take.shape) < 0.1, 0.0,
+                           gen.uniform(0.0, 3.0, take.shape))
+        est = gen.normal(0.3, 1.0, take.shape)
+        x = gen.normal(0.3, 1.0, counts.size)
+        eng = engine._Engaged(take.shape, np.flatnonzero(take))
+        got = B.homogeneous_settle(contract, eng.at_trial(x), eng.take(est),
+                                   eng.take(efforts), eng.counts(),
+                                   eng.totals, prior, n_den)
+        want = _dense_settle(contract, x, np.where(take, est, np.nan),
+                             efforts, take, prior, n_den)
+        for g, w in zip(got, (want[0], eng.take(want[1]), want[2])):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+            assert np.all(np.signbit(g) == np.signbit(w))
+        assert np.all(got[0][counts == 0] == 0.3)
+        assert np.all(got[2][counts == 0] == var0)
 
 
 @pytest.mark.parametrize("denominator", ["participants", "full-n"])
