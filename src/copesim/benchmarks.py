@@ -188,7 +188,7 @@ def homogeneous_predict(contract: HomogeneousContract, reports, prior:
     else:
         g = reports + (reports - mu0) * (prec / q)
         den = prec + (m if n_denominator is None else n_denominator) * q
-        dev = q * np.where(filed, g - mu0, 0.0).sum(axis=-1)
+        dev = q * mechanism.row_sums(np.where(filed, g - mu0, 0.0))
         out = np.where(m > 0, mu0 + dev / np.where(den > 0, den, 1.0), mu0)
     return float(out) if out.ndim == 0 else out
 

@@ -18,12 +18,10 @@ responses only at types at or below its cut.
 Every stage after designate (observe, settle, metrics) works on the chunk's
 engaged agents, those that exert effort or file a report: the recruited
 winner under cope-linear and the linear planner, the takers of a posted
-contract, every agent otherwise.  Per-trial totals equal numpy's (T, N) row
-sums bit for bit: each trial takes its engaged agent's value when none has
-two; otherwise mechanism.row_sums adds the columns of a dense block of the
-engaged trials (or of the chunk) in numpy's pairwise association.
-Only the engaged agents' noise is converted to normals, and a chunk's types
-are ranked once.  Only run_trial builds the dense per-agent record.
+contract, every agent otherwise.  A trial's totals add its agents' values in
+index order, starting from 0.0.  Only the engaged agents' noise is converted
+to normals, and a chunk's types are ranked once.  Only run_trial builds the
+dense per-agent record.
 Statistics merge fixed 4 096-trial blocks of all metrics at once, so they
 do not depend on the chunk size either.
 """
@@ -212,21 +210,14 @@ class _Engaged:
     a report.  flat holds their sorted flat indices into the chunk, or is
     None when every agent is engaged.  The stages after designate hold one
     entry per engaged agent, or the (T, N) arrays themselves when every
-    agent is engaged, and reduce them to per-trial totals that equal
-    numpy's (T, N) row sums with zeros elsewhere bit for bit: column adds in
-    the row reduce's association (mechanism.row_sums) over one dense block,
-    whose flat layout is computed once, and exact integer counts."""
+    agent is engaged, and reduce them to per-trial totals and exact integer
+    counts."""
 
     def __init__(self, shape: Tuple[int, int], flat: Optional[np.ndarray]):
         self.shape = shape
         self.flat = flat
         if flat is not None:
-            # 32-bit rows and columns where they fit: a posted contract
-            # can engage most of the chunk
-            small = shape[0] * shape[1] <= np.iinfo(np.int32).max
-            index = np.int32 if small else np.intp
-            self.rows, self.cols = np.divmod(flat.astype(index),
-                                             index(shape[1]))
+            self.rows = flat // shape[1]
 
     def take(self, a: np.ndarray) -> np.ndarray:
         """The engaged entries of a (T, N) array."""
@@ -236,40 +227,13 @@ class _Engaged:
         """A per-trial (T,) array, aligned with the engaged entries."""
         return v[:, None] if self.flat is None else v[self.rows]
 
-    @functools.cached_property
-    def _block(self):
-        """None when no trial has two engaged agents, else the layout of a
-        dense (trials, N) block of the trials with one: each entry's flat
-        index into it, and the block's trials."""
-        start = np.empty(self.rows.size, dtype=bool)
-        start[:1] = True
-        np.not_equal(self.rows[1:], self.rows[:-1], out=start[1:])
-        if start.all():
-            return None
-        index = np.cumsum(start, dtype=np.intp)
-        index -= 1
-        index *= self.shape[1]
-        index += self.cols
-        return index, self.rows[start]
-
     def totals(self, v: np.ndarray) -> np.ndarray:
-        """Per-trial sums of the engaged values v.  When no trial has two
-        engaged agents each takes its value; otherwise mechanism.row_sums
-        over a dense block of the trials with one keeps the association of
-        numpy's (T, N) row sum."""
+        """Per-trial sums of the engaged values v, in agent order from 0.0:
+        bincount adds them as mechanism.row_sums adds the (T, N) array with
+        zeros elsewhere."""
         if self.flat is None:
             return mechanism.row_sums(v)
-        out = np.zeros(self.shape[0])
-        if self._block is None:
-            out[self.rows] = v + 0.0    # the row sum's 0.0 + v: -0.0 gives 0.0
-            return out
-        index, trials = self._block
-        block = np.zeros((trials.size, self.shape[1]))
-        block.reshape(-1)[index] = v
-        if trials.size == out.size:
-            return mechanism.row_sums(block)
-        out[trials] = mechanism.row_sums(block)
-        return out
+        return np.bincount(self.rows, weights=v, minlength=self.shape[0])
 
     def counts(self, where: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-trial counts, as floats, of the engaged agents, or of those

@@ -55,49 +55,17 @@ def rank_rows(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def row_sums(a) -> np.ndarray:
-    """a.sum(axis=-1) of a C-contiguous (..., N) array, bit for bit, by
-    adding whole columns in the association of numpy's pairwise reduce over
-    one contiguous row: that reduce starts from 0.0 and adds the terms in
-    order below 8 of them, and in the blocks of _pairwise_columns above.
-    numpy reduces a (T, N) block one short row at a time; the column adds
-    run over all T rows at once."""
+    """Sums over the last axis of a (..., N) array, each adding its terms in
+    index order starting from 0.0: one column add over every row at once
+    per agent, where numpy would reduce one short row at a time."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 1:         # one contiguous row is numpy's own reduce
-        return a.sum(axis=-1)
-    lead, n = a.shape[:-1], a.shape[-1]
-    cols = a.reshape(math.prod(lead), n).T
-    out = np.zeros(cols.shape[1])
-    if n < 8:
-        for c in cols:
-            out += c
-    else:
-        out += _pairwise_columns(cols)
-    return out.reshape(lead)[()]
-
-
-def _pairwise_columns(cols: np.ndarray) -> np.ndarray:
-    """numpy's pairwise_sum of n >= 8 terms, elementwise over the columns of
-    an (n, m) array: up to 128 terms, eight accumulators seeded with terms
-    0-7 each add every 8th term up to n - n % 8, combine as ((r0 + r1) +
-    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rest are added in order;
-    above 128, the halves split at a multiple of 8 are summed alone."""
-    n = cols.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _pairwise_columns(cols[:half])
-        out += _pairwise_columns(cols[half:])
-        return out
-    k = n - n % 8
-    r = [cols[j] + cols[j + 8] for j in range(8)] if k > 8 else list(cols[:8])
-    for i in range(16, k, 8):
-        for j in range(8):
-            r[j] += cols[i + j]
-    out = r[0] + r[1]
-    out += r[2] + r[3]
-    right = r[4] + r[5]
-    right += r[6] + r[7]
-    out += right
-    for c in cols[k:]:
+    if a.ndim == 1:     # the same adds on Python floats, no numpy call a term
+        total = 0.0
+        for x in a.tolist():
+            total += x
+        return np.float64(total)
+    out = np.zeros(a.shape[:-1])
+    for c in np.moveaxis(a, -1, 0):
         out += c
     return out
 
@@ -343,7 +311,7 @@ def quadratic_pi_quad(agent: int, theta_hat, theta_lo: float, theta_hi: float,
     without them quad can stop on a wrong value with only a warning."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     gamma = _virtual_costs(theta_hat, theta_lo)
-    s_rest = float(np.sum(1.0 / gamma)) - 1.0 / gamma[agent]
+    s_rest = float(row_sums(1.0 / gamma)) - 1.0 / gamma[agent]
     a = 1.0 / var0
 
     def q_sq(z):

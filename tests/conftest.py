@@ -1,5 +1,7 @@
-"""Shared fixtures: standard scenario builders used across the test modules."""
+"""Shared fixtures (standard scenario builders used across the test modules)
+and left_to_right, the reference sum that the bitwise tests import."""
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -29,3 +31,14 @@ def make_scenario(prior01, uniform01):
         return Scenario(prior=prior, type_dist=uniform01, n_agents=n_agents,
                         cost_model=model)
     return build
+
+
+def left_to_right(a):
+    """Sums over the last axis adding the terms in index order from 0.0,
+    computed independently of mechanism.row_sums: np.add.accumulate runs
+    the same adds from the first term, and adding 0.0 afterwards gives the
+    +0.0 that a start from 0.0 gives an all-zero sum."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])[()]
+    return (np.add.accumulate(a, axis=-1)[..., -1] + 0.0)[()]

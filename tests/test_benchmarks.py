@@ -11,6 +11,7 @@ from copesim import engine, mechanism
 from copesim.costs import LINEAR, QUADRATIC, linear_cost, quadratic_cost
 from copesim.model import (TYPE_CLAMP, CostTypeDistribution, GaussianPrior,
                            Scenario)
+from conftest import left_to_right
 
 
 def test_centralized_linear_concentrates_on_cheapest():
@@ -456,8 +457,8 @@ def _dense_settle(contract, x, reports, efforts, take, prior, n_den):
     b = np.where(take, efforts / (prec + efforts), 0.0)
     w = np.where(take, efforts / (prec + efforts) ** 2, 0.0)
     c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
-    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
-        + c_m ** 2 * w.sum(axis=1)
+    expected_sq = var0 * (1.0 - c_m * left_to_right(b)) ** 2 \
+        + c_m ** 2 * left_to_right(w)
     return prediction, payments, expected_sq
 
 

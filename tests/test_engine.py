@@ -15,7 +15,8 @@ from copesim.engine import (CENTRALIZED, COPE_GENERAL, COPE_LINEAR,
                             MechanismSpec, homogeneous_spec, normalize_payoff,
                             run_batch, run_experiment, run_trial)
 from copesim.model import (NO_OBSERVATION, CostTypeDistribution,
-                           GaussianPrior, Scenario, principal_bayes_risk)
+                           GaussianPrior, Scenario)
+from conftest import left_to_right
 
 TRIAL_METRICS = ("principal_payoff", "network_profit", "bayes_network_profit",
                  "prediction_sq_error", "expected_sq_error")
@@ -119,19 +120,16 @@ def _engagement_patterns(gen, T, N):
 def test_engaged_totals_and_counts_match_dense_row_sums(N):
     # per-trial totals and counts from the engaged entries alone equal the
     # dense (T, N) row sums with zeros elsewhere bit for bit, signed zeros
-    # included, whether the dense block holds every trial or only some
+    # included
     gen = np.random.default_rng(N)
     T = 300
     dense = gen.choice([-1.0, 1.0], (T, N)) * 10.0 ** gen.uniform(-8, 8, (T, N))
     dense[gen.random((T, N)) < 0.1] = -0.0
-    blocks = set()
     for name, mask in _engagement_patterns(gen, T, N):
         eng = engine._Engaged((T, N), np.flatnonzero(mask))
         v = eng.take(dense)
         positive = v > 0
-        if eng._block is not None:
-            blocks.add(eng._block[1].size == T)
-        want = np.where(mask, dense, 0.0).sum(axis=1)
+        want = left_to_right(np.where(mask, dense, 0.0))
         got = eng.totals(v)
         assert np.array_equal(got, want) and \
             np.array_equal(np.signbit(got), np.signbit(want)), name
@@ -140,12 +138,11 @@ def test_engaged_totals_and_counts_match_dense_row_sums(N):
                               (mask & (dense > 0)).sum(axis=1).astype(float))
     # every agent engaged, as the (T, N) arrays themselves
     eng = engine._Engaged((T, N), None)
-    got = eng.totals(dense)
-    assert np.array_equal(got, dense.sum(axis=1))
-    assert np.array_equal(np.signbit(got), np.signbit(dense.sum(axis=1)))
+    got, want = eng.totals(dense), left_to_right(dense)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(eng.counts(dense > 0),
                           (dense > 0).sum(axis=1).astype(float))
-    assert blocks == (set() if N == 1 else {True, False})
 
 
 # -- the engaged-agent pipeline against the dense one -------------------------
@@ -210,6 +207,10 @@ def _designate_dense(cell, reported, t0):
     return np.where(take, q, 0.0), take
 
 
+def _bayes_risk(prior, efforts):
+    return 1.0 / (prior.precision + left_to_right(efforts))
+
+
 def _settle_dense(cell, x, obs, est, efforts, terms):
     prior = cell.scenario.prior
     kind = cell.mech.kind
@@ -220,16 +221,16 @@ def _settle_dense(cell, x, obs, est, efforts, terms):
         prediction = np.where(q[rows, winner] > 0.0, y, prior.mu0)
         payments = np.zeros_like(est)
         payments[rows, winner] = pi - K * (x - y) ** 2 + S
-        return prediction, payments, principal_bayes_risk(prior, efforts), est
+        return prediction, payments, _bayes_risk(prior, efforts), est
     if kind.startswith("cope"):
         pi, K, S, q = terms
         prediction = mechanism.predict_batch(prior, est, q)
         payments = pi - K * (x[:, None] - est) ** 2 + S
-        return prediction, payments, principal_bayes_risk(prior, efforts), est
+        return prediction, payments, _bayes_risk(prior, efforts), est
     if kind == "centralized":
-        num = prior.mu0 * prior.precision + np.where(
-            efforts > 0, obs * efforts, 0.0).sum(axis=1)
-        den = prior.precision + efforts.sum(axis=1)
+        num = prior.mu0 * prior.precision + left_to_right(np.where(
+            efforts > 0, obs * efforts, 0.0))
+        den = prior.precision + left_to_right(efforts)
         return num / den, np.zeros_like(efforts), 1.0 / den, obs
     contract, posted, n_den, _ = cell.state
     reports = np.where(terms, est, np.nan)
@@ -249,8 +250,8 @@ def _settle_dense(cell, x, obs, est, efforts, terms):
     b = np.where(terms, efforts / (prec + efforts), 0.0)
     w = np.where(terms, efforts / (prec + efforts) ** 2, 0.0)
     c_m = np.where(m > 0, (q_dag + prec) / np.where(den > 0, den, 1.0), 0.0)
-    expected_sq = var0 * (1.0 - c_m * b.sum(axis=1)) ** 2 \
-        + c_m ** 2 * w.sum(axis=1)
+    expected_sq = var0 * (1.0 - c_m * left_to_right(b)) ** 2 \
+        + c_m ** 2 * left_to_right(w)
     return prediction, payments, expected_sq, reports
 
 
@@ -258,9 +259,9 @@ def _finish_metrics_dense(scenario, x, types, efforts, prediction, payments,
                           expected_sq):
     prior = scenario.prior
     err = (x - prediction) ** 2
-    total_pay = payments.sum(axis=1)
-    total_cost = cost(scenario.cost_model, efforts, types).sum(axis=1)
-    risk = principal_bayes_risk(prior, efforts)
+    total_pay = left_to_right(payments)
+    total_cost = left_to_right(cost(scenario.cost_model, efforts, types))
+    risk = _bayes_risk(prior, efforts)
     return {
         "principal_payoff": -err - total_pay,
         "network_profit": -err - total_cost,

