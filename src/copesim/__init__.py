@@ -9,8 +9,7 @@ seeded Monte-Carlo engine that compares them.
 """
 
 from .model import (GaussianPrior, CostTypeDistribution, Scenario,
-                    NO_OBSERVATION, posterior_mean_var, principal_bayes_risk,
-                    agent_bayes_risk)
+                    NO_OBSERVATION, posterior_mean_var, agent_bayes_risk)
 from .costs import (CostModel, linear_cost, quadratic_cost, general_cost, cost,
                     check_regularity, LINEAR, QUADRATIC, GENERAL)
 from .mechanism import (PaymentRule, SolverError, effort_linear,

@@ -2,11 +2,12 @@
 single-belief homogeneous mechanism.
 
 The homogeneous mechanism posts one contract computed as if every agent had
-cost type theta_dagger.  Agents respond non-truthfully (their effort solves
-their own first-order condition against the posted reward weight), the
-principal aggregates reports while wrongly assuming everyone exerted the
-designed effort, and she opts out entirely when her exact expected payoff
-falls below the no-action baseline.  The opt-out decision is deterministic:
+cost type theta_dagger.  The types at or below a closed-form threshold take
+it and respond non-truthfully (their effort solves their own first-order
+condition against the posted reward weight), the principal aggregates
+reports while wrongly assuming everyone exerted the designed effort, and she
+opts out entirely when her exact expected payoff falls below the no-action
+baseline.  The opt-out decision is deterministic:
 a binomial mixture over the participant count against closed-form / quadrature
 type moments, no Monte-Carlo.
 """
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import mechanism
 from .agents import optimal_effort_linear, reward_effort_quadratic
@@ -103,69 +103,45 @@ def homogeneous_contract(theta_dagger: float, n_agents: int, cost_kind: str,
 
 
 def homogeneous_response_batch(theta, contract: HomogeneousContract,
-                               cost_kind: str, var0: float
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-    """(efforts, participate) for an array of true types.  Participation is
-    decided on the exact expected payoff alpha - beta/(1/var0+q) - C(q,theta)
-    at the agent's own optimal effort."""
+                               cost_kind: str, var0: float) -> np.ndarray:
+    """Best-response efforts to the posted reward weight beta for an array of
+    true types.  Who takes the contract is participation_threshold's
+    decision, not this function's."""
     theta = np.asarray(theta, dtype=float)
     prec = 1.0 / var0
-    beta = contract.beta
     if cost_kind == LINEAR:
-        q = optimal_effort_linear(beta, theta, prec)
-        c = theta * q
-    elif cost_kind == QUADRATIC:
-        q = reward_effort_quadratic(beta, theta, prec)
-        c = 0.5 * theta * q ** 2
+        return optimal_effort_linear(contract.beta, theta, prec)
+    if cost_kind == QUADRATIC:
+        return reward_effort_quadratic(contract.beta, theta, prec)
+    raise ValueError(f"no homogeneous response for cost kind {cost_kind!r}")
+
+
+def participation_threshold(contract: HomogeneousContract,
+                            type_dist: CostTypeDistribution, var0: float,
+                            cost_kind: str) -> float:
+    """theta*: an agent takes the contract exactly when its type is at or
+    below theta*, clipped to the type range.  The exact expected payoff
+    alpha - beta/(1/var0+q) - C(q,theta) at the agent's own best response q
+    falls in type, so the takers are the types where it is not negative."""
+    if cost_kind == QUADRATIC:
+        # alpha is built to make the type-theta_dagger payoff exactly zero
+        t = contract.theta_dagger
+    elif cost_kind == LINEAR:
+        # payoff alpha - 2 sqrt(beta t) + t/var0 while the response is
+        # positive (t < beta var0^2), then the constant alpha - beta var0: a
+        # quadratic in sqrt(t) whose smaller root lies inside the positive
+        # part.  Without a real root (beta <= alpha/var0) no payoff is
+        # negative and every type takes the contract
+        alpha, beta = contract.alpha, contract.beta
+        disc = beta - alpha / var0
+        if disc <= 0.0:
+            t = type_dist.theta_hi
+        else:
+            t = (alpha / (math.sqrt(beta) + math.sqrt(disc))) ** 2
     else:
-        raise ValueError(f"no homogeneous response for cost kind {cost_kind!r}")
-    with np.errstate(divide="ignore"):
-        risk = np.where(prec + q > 0.0, 1.0 / (prec + q), np.inf)
-    payoff = contract.alpha - beta * risk - c
-    return q, payoff >= -_take_tol(contract)
-
-
-def _take_tol(contract: HomogeneousContract) -> float:
-    """Quadratic contracts bind exactly at theta_dagger; an indifferent agent
-    participates, so the rule absorbs the rounding residue of a zero
-    payoff."""
-    return 1e-9 * max(1.0, abs(contract.alpha))
-
-
-def homogeneous_type_cut(contract: HomogeneousContract,
-                         type_dist: CostTypeDistribution, var0: float,
-                         cost_kind: str) -> float:
-    """A type above which homogeneous_response_batch admits no agent, or inf
-    when no type in the distribution's range can be ruled out.  The payoff
-    at the agent's own best response falls in type, so the cut is where the
-    closed-form payoff sits far below the rule's tolerance; past it the
-    rule's rounding cannot reach -tol."""
-    hi = type_dist.theta_hi
-    prec = 1.0 / var0
-    alpha, beta = contract.alpha, contract.beta
-    tol = _take_tol(contract)
-    if cost_kind == LINEAR:
-        # alpha - 2 sqrt(beta t) + t/var0 while the response is positive
-        # (t < beta var0^2), then the constant alpha - beta var0
-        target = -1000.0 * tol
-        if prec > 0.0 and alpha - beta * var0 >= target:
-            return math.inf
-        u = lambda t: alpha - 2.0 * math.sqrt(beta * t) + t * prec - target
-        if u(0.0) <= 0.0:
-            return 0.0
-        # u(edge) < 0: the tail constant, or -(alpha - target) when prec = 0
-        edge = beta * var0 * var0 if prec > 0.0 else (alpha - target) ** 2 / beta
-        cut = float(brentq(u, 0.0, edge, xtol=1e-15, maxiter=200))
-    elif cost_kind == QUADRATIC:
-        # U'(t) = -q(t)^2/2 with q falling in t and U(theta_dagger) = 0, so
-        # U(t) <= -(t - theta_dagger) q(theta_hi)^2/2 < -2 tol past the cut
-        q_hi = float(reward_effort_quadratic(beta, hi, prec))
-        if not q_hi > 0.0:
-            return math.inf
-        cut = contract.theta_dagger + 4.0 * tol / (q_hi * q_hi)
-    else:
-        raise ValueError(f"no homogeneous response for cost kind {cost_kind!r}")
-    return cut if cut < hi else math.inf
+        raise ValueError(f"no participation threshold for cost kind "
+                         f"{cost_kind!r}")
+    return float(np.clip(t, type_dist.theta_lo, type_dist.theta_hi))
 
 
 def homogeneous_predict(contract: HomogeneousContract, reports, prior:
@@ -236,33 +212,6 @@ def _filled(size: int, index: np.ndarray, values: np.ndarray,
 
 # -- principal's exact expected payoff and the opt-out decision ----------------
 
-def _participation_threshold(contract: HomogeneousContract,
-                             type_dist: CostTypeDistribution, var0: float,
-                             cost_kind: str) -> float:
-    """Largest type that still participates (payoff is decreasing in type,
-    then constant once the linear response clamps at zero)."""
-    lo, hi = type_dist.theta_lo, type_dist.theta_hi
-    prec = 1.0 / var0
-    alpha, beta = contract.alpha, contract.beta
-    if cost_kind == QUADRATIC:
-        # alpha is built to make the type-theta_dagger payoff exactly zero
-        return float(np.clip(contract.theta_dagger, lo, hi))
-    # linear: payoff = alpha - 2 sqrt(beta t) + t/var0 while the response is
-    # positive (t < beta var0^2), then constant alpha - beta var0
-    lo_eval = max(lo, TYPE_CLAMP)
-    u_live = lambda t: alpha - 2.0 * math.sqrt(beta * t) + t * prec
-    edge = min(beta * var0 * var0, hi) if prec > 0 else hi
-    if edge <= lo_eval:
-        return hi if alpha - beta * var0 >= 0.0 else lo
-    if u_live(lo_eval) < 0.0:
-        return lo
-    if u_live(edge) >= 0.0:
-        if edge >= hi:
-            return hi
-        return hi if alpha - beta * var0 >= 0.0 else edge
-    return float(brentq(u_live, lo_eval, edge, xtol=1e-15, maxiter=200))
-
-
 @functools.lru_cache(maxsize=None)
 def _moment_rule() -> Tuple[np.ndarray, np.ndarray]:
     """200-node Gauss-Legendre rule for the participating-type moments."""
@@ -289,7 +238,7 @@ def _participating_moments(contract: HomogeneousContract,
             continue
         mid, half = 0.5 * (a + b_end), 0.5 * (b_end - a)
         t = mid + half * x
-        q, _ = homogeneous_response_batch(t, contract, cost_kind, var0)
+        q = homogeneous_response_batch(t, contract, cost_kind, var0)
         pdf = type_dist.pdf(t)
         with np.errstate(divide="ignore"):
             inv = np.where(prec + q > 0.0, 1.0 / (prec + q), np.inf)
@@ -312,7 +261,7 @@ def homogeneous_expected_payoff(contract: HomogeneousContract,
     q_dag = contract.q_dagger
     if q_dag <= 0.0:
         return -var0
-    theta_star = _participation_threshold(contract, type_dist, var0, cost_kind)
+    theta_star = participation_threshold(contract, type_dist, var0, cost_kind)
     p = float(np.clip(type_dist.cdf(theta_star), 0.0, 1.0))
     if p <= 0.0:
         return -var0

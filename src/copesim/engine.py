@@ -11,9 +11,10 @@ chunked or parallelized.  Each chunk of one N is drawn once and every
 mechanism at that N runs on that draw, so the mechanisms share their world
 draws trial by trial (common random numbers).  COPE agents are truthful: they
 report their types and posterior-mean estimates and exert the designated
-effort, the equilibrium that the bic and bir verify suites certify.  Agents
-offered a posted contract best-respond to its reward; a cell evaluates those
-responses only at types at or below its cut.
+effort, the equilibrium that the bic and bir verify suites certify.  An
+agent offered a posted contract takes it exactly when its type is at or
+below the cell's participation threshold, and then best-responds to its
+reward.
 
 Every stage after designate (observe, settle, metrics) works on the chunk's
 engaged agents, those that exert effort or file a report: the recruited
@@ -392,18 +393,17 @@ def _settle_centralized(cell: _Cell, x, eng, efforts, obs, est, terms):
 
 
 def _designate_homogeneous(cell: _Cell, draws: _Draws, t0):
-    """Agents who take the posted contract best-respond to its reward; they
-    are the engaged agents, a taker at zero effort included.  Responses are
-    evaluated only at types at or below the cell's cut, above which nobody
-    takes the contract."""
-    contract, posted, _, cut = cell.state
+    """The takers of the posted contract are the agents whose types are at
+    or below the cell's threshold theta*; they are the engaged agents, a
+    taker at zero effort included, and best-respond to the reward."""
+    contract, posted, _, theta_star = cell.state
     if not posted:
         return None, np.empty(0, dtype=np.intp), np.empty(0), None
-    low = np.flatnonzero(draws.types <= cut)
-    q, take = benchmarks.homogeneous_response_batch(
-        draws.types.reshape(-1)[low], contract, cell.scenario.cost_kind,
+    takers = np.flatnonzero(draws.types <= theta_star)
+    q = benchmarks.homogeneous_response_batch(
+        draws.types.reshape(-1)[takers], contract, cell.scenario.cost_kind,
         cell.scenario.prior.var0)
-    return None, low[take], q[take], None
+    return None, takers, q, None
 
 
 def _settle_homogeneous(cell: _Cell, x, eng, efforts, obs, est, terms):
@@ -434,8 +434,8 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
                 settings: EngineSettings):
     """Per-cell setup: the posted contract, whether the principal posts it at
     all (its exact expected payoff beats opting out and the designed effort
-    is positive), the predictor's fixed denominator and the type cut above
-    which nobody takes the contract; or the general-cost effort rule."""
+    is positive), the predictor's fixed denominator and the participation
+    threshold theta*; or the general-cost effort rule."""
     prior, n, kind = scenario.prior, scenario.n_agents, scenario.cost_kind
     if mech.kind == "homogeneous":
         contract = benchmarks.homogeneous_contract(mech.theta_dagger, n, kind,
@@ -444,9 +444,8 @@ def _cell_state(scenario: Scenario, mech: MechanismSpec,
         use_mech, _ = benchmarks.homogeneous_fallback(
             contract, scenario.type_dist, prior, n, kind, n_den)
         posted = use_mech and contract.q_dagger > 0.0
-        cut = benchmarks.homogeneous_type_cut(
-            contract, scenario.type_dist, prior.var0, kind) if posted else None
-        return contract, posted, n_den, cut
+        return contract, posted, n_den, benchmarks.participation_threshold(
+            contract, scenario.type_dist, prior.var0, kind)
     if mech.kind == "cope-general":
         return partial(mechanism.effort_general, scenario.cost_model,
                        scenario.type_dist, prior.var0)

@@ -163,13 +163,6 @@ def posterior_mean_var(prior: GaussianPrior,
     return num / prec, 1.0 / prec
 
 
-def principal_bayes_risk(prior: GaussianPrior, efforts) -> np.ndarray:
-    """Expected squared error of the optimal predictor given effort vector(s):
-    1/(1/var0 + sum q).  Sums over the last axis."""
-    total = np.sum(np.asarray(efforts, dtype=float), axis=-1)
-    return 1.0 / (prior.precision + total)
-
-
 def agent_bayes_risk(prior: GaussianPrior, q):
     """Expected squared error of one agent's own posterior mean: 1/(1/var0 + q)."""
     return 1.0 / (prior.precision + np.asarray(q, dtype=float))

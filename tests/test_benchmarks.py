@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from copesim import benchmarks as B
 from copesim import engine, mechanism
@@ -90,45 +91,111 @@ def test_homogeneous_response_self_consistent(kind, var0):
     # the reward weight beta is sized so theta_dagger's own best response is
     # exactly the designed effort
     c = B.homogeneous_contract(0.25 if kind == LINEAR else 0.5, 3, kind, var0)
-    q, _ = B.homogeneous_response_batch([c.theta_dagger], c, kind, var0)
+    q = B.homogeneous_response_batch([c.theta_dagger], c, kind, var0)
     assert abs(q[0] - c.q_dagger) <= 1e-10
 
 
 def test_homogeneous_response_monotone_in_type():
     c = B.homogeneous_contract(0.25, 2, LINEAR, 1.0)
-    (q_low,), _ = B.homogeneous_response_batch([0.1], c, LINEAR, 1.0)
+    (q_low,) = B.homogeneous_response_batch([0.1], c, LINEAR, 1.0)
     assert q_low == pytest.approx(math.sqrt(0.5625 / 0.1) - 1.0)
     assert q_low > c.q_dagger
-    qs, _ = B.homogeneous_response_batch(np.array([0.1, 0.2, 0.4]), c,
-                                         LINEAR, 1.0)
+    qs = B.homogeneous_response_batch(np.array([0.1, 0.2, 0.4]), c, LINEAR,
+                                      1.0)
     assert np.all(np.diff(qs) < 0)
+
+
+def _takes(types, contract, kind, var0,
+           type_dist=CostTypeDistribution.uniform(0.0, 1.0)):
+    return np.asarray(types) <= B.participation_threshold(contract, type_dist,
+                                                          var0, kind)
+
+
+def _exact_payoff(types, contract, kind, var0):
+    """alpha - beta/(1/var0 + q) - C(q, theta) at each type's own best
+    response q."""
+    t = np.asarray(types, dtype=float)
+    q = B.homogeneous_response_batch(t, contract, kind, var0)
+    c = t * q if kind == LINEAR else 0.5 * t * q ** 2
+    return contract.alpha - contract.beta / (1.0 / var0 + q) - c
 
 
 def test_linear_participation_excludes_theta_dagger():
     # under linear cost the printed flat part does not cover theta_dagger's
     # cost at its own best response; only sufficiently cheap types opt in
-    # (threshold 0.0625 for this contract)
+    # (threshold 0.0625 for this contract, exactly)
     c = B.homogeneous_contract(0.25, 2, LINEAR, 1.0)
-    (q,), (take,) = B.homogeneous_response_batch([0.25], c, LINEAR, 1.0)
-    assert q == pytest.approx(c.q_dagger) and not take
-    _, (take_lo,) = B.homogeneous_response_batch([0.05], c, LINEAR, 1.0)
-    _, (take_edge,) = B.homogeneous_response_batch([0.0625], c, LINEAR, 1.0)
-    _, (take_out,) = B.homogeneous_response_batch([0.0626], c, LINEAR, 1.0)
-    assert take_lo and take_edge and not take_out
+    (q,) = B.homogeneous_response_batch([0.25], c, LINEAR, 1.0)
+    assert q == pytest.approx(c.q_dagger)
+    u01 = CostTypeDistribution.uniform(0.0, 1.0)
+    assert B.participation_threshold(c, u01, 1.0, LINEAR) == 0.0625
+    assert list(_takes([0.05, 0.0625, 0.0626, 0.25], c, LINEAR, 1.0)) == \
+        [True, True, False, False]
 
 
 def test_quadratic_participation_binds_at_theta_dagger():
+    # the indifferent type theta_dagger takes the contract, with no tolerance
     c = B.homogeneous_contract(0.5, 3, QUADRATIC, 1.0)
-    _, (take_at,) = B.homogeneous_response_batch([0.5], c, QUADRATIC, 1.0)
-    _, (take_above,) = B.homogeneous_response_batch([0.5001], c, QUADRATIC,
-                                                    1.0)
-    assert take_at and not take_above
+    assert list(_takes([0.5, np.nextafter(0.5, 1.0), 0.5001], c, QUADRATIC,
+                       1.0)) == [True, False, False]
 
 
 def test_top_type_shirks_and_declines():
     c = B.homogeneous_contract(0.8, 3, LINEAR, 1.0)
-    (q,), (take,) = B.homogeneous_response_batch([1.0], c, LINEAR, 1.0)
-    assert q == 0.0 and not take
+    (q,) = B.homogeneous_response_batch([1.0], c, LINEAR, 1.0)
+    assert q == 0.0 and not _takes(1.0, c, LINEAR, 1.0)
+
+
+@pytest.mark.parametrize("var0", [0.05, 0.25, 1.0, 4.0, 100.0, math.inf])
+def test_linear_threshold_is_the_root_of_the_payoff(var0):
+    # the closed form against a bracketed root of the payoff at the
+    # positive response, alpha - 2 sqrt(beta t) + t/var0; where that has no
+    # root every type takes, the zero-effort tail's alpha - beta var0 >= 0
+    wide = CostTypeDistribution.uniform(0.0, 1e6)
+    prec = 1.0 / var0
+    branches = set()
+    for n in (1, 2, 3, 7, 19, 50):
+        for td in np.geomspace(1e-3, 3.0, 25):
+            c = B.homogeneous_contract(td, n, LINEAR, var0)
+            alpha, beta = c.alpha, c.beta
+            star = B.participation_threshold(c, wide, var0, LINEAR)
+            if beta <= alpha * prec:
+                branches.add("every type")
+                assert star == wide.theta_hi
+                assert alpha - beta * var0 >= 0.0, (n, td)
+                continue
+            if alpha == 0.0:     # no designed effort: nobody takes it
+                assert star == 0.0
+                continue
+            branches.add("root")
+            u = lambda t: alpha - 2.0 * math.sqrt(beta * t) + t * prec
+            edge = beta * var0 * var0 if prec > 0.0 else alpha ** 2 / beta
+            root = brentq(u, 0.0, edge, xtol=1e-300, rtol=8.9e-16,
+                          maxiter=500)
+            assert abs(star - root) <= 1e-14 * root, (n, td, star, root)
+    # the grid reaches the every-type branch only at the strong priors
+    assert "root" in branches
+    assert ("every type" in branches) == (var0 < 1.0)
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_takers_are_the_types_with_a_nonnegative_payoff(kind):
+    # just below the threshold the exact payoff is positive, just above it
+    # negative: the simulated takers are the set the exact payoff describes
+    u01 = CostTypeDistribution.uniform(0.0, 1.0)
+    inside = 0
+    for var0 in (0.25, 1.0, 4.0, math.inf):
+        for n in (1, 3, 19):
+            for td in (0.2, 0.5, 0.8):
+                c = B.homogeneous_contract(td, n, kind, var0)
+                star = B.participation_threshold(c, u01, var0, kind)
+                if not 0.0 < star < 1.0:
+                    continue
+                inside += 1
+                below, above = _exact_payoff(
+                    [star * (1.0 - 1e-6), star * (1.0 + 1e-6)], c, kind, var0)
+                assert below > 0.0 > above, (var0, n, td, below, above)
+    assert inside >= 20
 
 
 def test_homogeneous_predict_frozen():
@@ -176,14 +243,17 @@ def _two_agent_payoff(contract, cost_kind, type_dist, prior, full_n,
                       order=64):
     """Expected principal payoff at N = 2 by tensor-product Gauss-Legendre
     over the type square, built from the per-profile squared error and the
-    participants' expected scores; no binomial mixture, no type moments."""
+    participants' expected scores; no binomial mixture, no type moments.
+    A type participates where its own exact payoff is not negative."""
     var0, prec = prior.var0, prior.precision
     lo, hi = type_dist.theta_lo, type_dist.theta_hi
-    # split where the integrand kinks: participation, the design point and
-    # the linear response's clamp edge
-    theta_star = B._participation_threshold(contract, type_dist, var0,
-                                            cost_kind)
-    kinks = (theta_star, contract.theta_dagger, contract.beta * var0 ** 2)
+    # split where the integrand kinks: participation (a root of the payoff,
+    # if it changes sign in the range), the design point and the linear
+    # response's clamp edge
+    kinks = [contract.theta_dagger, contract.beta * var0 ** 2]
+    payoff = lambda t: float(_exact_payoff(t, contract, cost_kind, var0))
+    if payoff(lo + 1e-12) > 0.0 > payoff(hi):
+        kinks.append(brentq(payoff, lo + 1e-12, hi, xtol=1e-15))
     cuts = sorted({lo, hi} | {t for t in kinks if lo < t < hi})
     x, wx = np.polynomial.legendre.leggauss(order)
     t = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
@@ -191,7 +261,8 @@ def _two_agent_payoff(contract, cost_kind, type_dist, prior, full_n,
     wt = np.concatenate([0.5 * (b - a) * wx
                          for a, b in zip(cuts[:-1], cuts[1:])])
     wt = wt * type_dist.pdf(t)
-    q, take = B.homogeneous_response_batch(t, contract, cost_kind, var0)
+    q = B.homogeneous_response_batch(t, contract, cost_kind, var0)
+    take = _exact_payoff(t, contract, cost_kind, var0) >= 0.0
     b = np.where(take, q / (prec + q), 0.0)
     w = np.where(take, q / (prec + q) ** 2, 0.0)
     score = np.where(take, contract.alpha - contract.beta / (prec + q), 0.0)
@@ -223,7 +294,7 @@ def _four_moment_payoff(contract, type_dist, prior, n, kind, n_den):
     participating types (b = q/(prec+q), w = q/(prec+q)^2, hA = 1/(prec+q)),
     each on the quadrature nodes homogeneous_expected_payoff uses."""
     var0, prec, q_dag = prior.var0, prior.precision, contract.q_dagger
-    theta_star = B._participation_threshold(contract, type_dist, var0, kind)
+    theta_star = B.participation_threshold(contract, type_dist, var0, kind)
     p = float(type_dist.cdf(theta_star))
     x, wts = B._moment_rule()
     lo, edge = max(type_dist.theta_lo, TYPE_CLAMP), contract.beta * var0 ** 2
@@ -232,7 +303,7 @@ def _four_moment_payoff(contract, type_dist, prior, n, kind, n_den):
     sums = np.zeros(5)   # b, b^2, w, hA and the mass
     for a, z in segments:
         t = 0.5 * (a + z) + 0.5 * (z - a) * x
-        q, _ = B.homogeneous_response_batch(t, contract, kind, var0)
+        q = B.homogeneous_response_batch(t, contract, kind, var0)
         h = 1.0 / (prec + q)
         for i, v in enumerate((q * h, (q * h) ** 2, q * h * h, h, 1.0)):
             sums[i] += 0.5 * (z - a) * np.sum(wts * type_dist.pdf(t) * v)
@@ -360,7 +431,7 @@ def test_posted_contract_payoffs_do_not_depend_on_prior_mean():
         assert np.allclose(at2[k], at0[k], rtol=0.0, atol=1e-9), k
 
 
-# -- the posted contract evaluated only where it can be taken ------------------
+# -- the posted contract taken at or below its threshold -----------------------
 
 CUT_CASES = [(kind, td, var0, n) for kind in (LINEAR, QUADRATIC)
              for td in (0.2, 0.5, 0.8) for var0 in (0.25, 1.0, 4.0)
@@ -368,65 +439,66 @@ CUT_CASES = [(kind, td, var0, n) for kind in (LINEAR, QUADRATIC)
     + [(kind, 0.5, math.inf, 3) for kind in (LINEAR, QUADRATIC)]
 
 
-def _full_response(types, contract, kind, var0):
-    q, take = B.homogeneous_response_batch(types, contract, kind, var0)
+def _full_response(types, contract, kind, var0, theta_star):
+    """Every type's best response, zero where the type is above theta*,
+    and who takes the contract."""
+    take = types <= theta_star
+    q = B.homogeneous_response_batch(types, contract, kind, var0)
     return np.where(take, q, 0.0), take
 
 
 @pytest.mark.parametrize("kind,td,var0,n", CUT_CASES)
 def test_cut_designate_matches_full_response(kind, td, var0, n):
-    # types crowd the cut and the participation threshold below it; the
-    # masked designate step must give the full evaluation's (q, take) bit
-    # for bit, and nobody above the cut may take the contract
+    # types crowd the participation threshold theta*; the designate step
+    # engages exactly the types at or below it, and their efforts are the
+    # full evaluation's bit for bit
     u01 = CostTypeDistribution.uniform(0.0, 1.0)
     contract = B.homogeneous_contract(td, n, kind, var0)
-    cut = B.homogeneous_type_cut(contract, u01, var0, kind)
-    star = B._participation_threshold(contract, u01, var0, kind)
-    assert cut >= star
+    star = B.participation_threshold(contract, u01, var0, kind)
     gen = np.random.default_rng(3)
-    centre = min(cut, 1.0)
     band = np.concatenate([
-        gen.uniform(max(centre - 0.05, 1e-12), min(centre + 0.05, 1.0), 6000),
-        centre * (1.0 + gen.uniform(-1e-6, 1e-6, 2000)),
+        gen.uniform(max(star - 0.05, 1e-12), min(star + 0.05, 1.0), 6000),
+        star * (1.0 + gen.uniform(-1e-6, 1e-6, 2000)),
         star * (1.0 + gen.uniform(-1e-9, 1e-9, 2000)),
-        gen.uniform(1e-12, 1.0, 2000), [star, centre]])
+        gen.uniform(1e-12, 1.0, 2000),
+        [np.nextafter(star, 0.0), star, np.nextafter(star, 2.0)]])
     band = np.clip(band, 1e-12, 1.0)
     types = band[:band.size - band.size % n].reshape(-1, n)
     scen = Scenario(prior=GaussianPrior(0.0, var0), type_dist=u01,
                     n_agents=n, cost_model=linear_cost() if kind == LINEAR
                     else quadratic_cost())
     cell = engine._Cell(scen, engine.homogeneous_spec(td), 0,
-                        engine.EngineSettings(), (contract, True, None, cut))
+                        engine.EngineSettings(), (contract, True, None, star))
     draws = engine._Draws(np.zeros(types.shape[0]), types, None)
     _, flat, q, _ = engine._designate_homogeneous(cell, draws, 0)
     engaged = engine._Engaged(types.shape, flat)
     efforts, take = engaged.dense(q, 0.0), engaged.dense(True, False)
-    want_q, want_take = _full_response(types, contract, kind, var0)
+    want_q, want_take = _full_response(types, contract, kind, var0, star)
+    assert np.array_equal(take, types <= star)
     assert np.array_equal(efforts, want_q)
-    assert np.array_equal(take, want_take)
-    assert not np.any(want_take & (types > cut))
+    assert np.all(np.signbit(efforts) == np.signbit(want_q))
 
 
 def test_cut_is_finite_where_the_sweep_needs_it():
-    # the headline contracts (var0 = 1) all admit a cut inside the type range
+    # the headline contracts (var0 = 1) all leave some types out
     u01 = CostTypeDistribution.uniform(0.0, 1.0)
     for kind in (LINEAR, QUADRATIC):
         for td in (0.2, 0.5, 0.8):
             for n in (3, 19):
                 c = B.homogeneous_contract(td, n, kind, 1.0)
-                assert B.homogeneous_type_cut(c, u01, 1.0, kind) < 1.0
+                assert B.participation_threshold(c, u01, 1.0, kind) < 1.0
 
 
 def _designate_full(cell, draws, t0):
     """The engine's designate step with every type evaluated and every
     agent engaged; the terms are who takes the contract."""
     types = draws.types
-    contract, posted, _, _ = cell.state
+    contract, posted, _, theta_star = cell.state
     if not posted:
         return None, None, np.zeros_like(types), \
             np.zeros(types.shape, dtype=bool)
     q, take = _full_response(types, contract, cell.scenario.cost_kind,
-                             cell.scenario.prior.var0)
+                             cell.scenario.prior.var0, theta_star)
     return None, None, q, take
 
 
@@ -511,10 +583,11 @@ def test_posted_cells_match_full_evaluation(kind, denominator, monkeypatch):
                             n_agents=n, cost_model=linear_cost()
                             if kind == LINEAR else quadratic_cost())
             for mech in mechs:
-                _, posted, _, cut = engine._cell_state(scen, mech, settings)
+                _, posted, _, theta_star = engine._cell_state(scen, mech,
+                                                              settings)
                 seen.add("posted" if posted else "opted out")
-                if posted and cut < 1.0:
-                    seen.add("cut")
+                if posted and theta_star < 1.0:
+                    seen.add("some types out")
             runs = []
             for steps in (cut_steps, (_designate_full, _settle_full)):
                 monkeypatch.setitem(engine._STEPS, "homogeneous", steps)
@@ -529,4 +602,4 @@ def test_posted_cells_match_full_evaluation(kind, denominator, monkeypatch):
                 for k in got_r:
                     assert np.array_equal(got_r[k], want_r[k],
                                           equal_nan=True), (var0, n, k)
-    assert seen == {"posted", "opted out", "cut"}
+    assert seen == {"posted", "opted out", "some types out"}

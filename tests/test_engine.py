@@ -199,11 +199,12 @@ def _designate_dense(cell, reported, t0):
     if kind == "centralized":
         return benchmarks.centralized_efforts(reported, scen.cost_kind,
                                               var0), None
-    contract, posted, _, _ = cell.state
+    contract, posted, _, theta_star = cell.state
     if not posted:
         return np.zeros_like(reported), np.zeros(reported.shape, dtype=bool)
-    q, take = benchmarks.homogeneous_response_batch(
-        reported, contract, scen.cost_kind, var0)
+    take = reported <= theta_star
+    q = benchmarks.homogeneous_response_batch(reported, contract,
+                                              scen.cost_kind, var0)
     return np.where(take, q, 0.0), take
 
 
@@ -311,8 +312,8 @@ def _oracle_scenario(kind, n, var0=1.0):
 
 def _oracle_cells(scen, settings):
     """Every mechanism of the scenario's cost family, three posted contracts
-    and, under linear cost, a contract forced to post with no cut: at
-    var0 = 0.25 its zero-effort tail takes it (the principal would opt
+    and, under linear cost, a contract forced to post: at var0 = 0.25 every
+    type takes it, its zero-effort tail included (the principal would opt
     out)."""
     kind = scen.cost_kind
     mechs = [COPE_LINEAR if kind == LINEAR else COPE_QUADRATIC, CENTRALIZED,
@@ -325,8 +326,10 @@ def _oracle_cells(scen, settings):
         contract = benchmarks.homogeneous_contract(0.001, scen.n_agents, kind,
                                                    scen.prior.var0)
         n_den = scen.n_agents if settings.hom_denominator == "full-n" else None
+        theta_star = benchmarks.participation_threshold(
+            contract, scen.type_dist, scen.prior.var0, kind)
         cells.append(engine._Cell(scen, homogeneous_spec(0.001), 5, settings,
-                                  (contract, True, n_den, math.inf)))
+                                  (contract, True, n_den, theta_star)))
     return cells
 
 

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from copesim import engine, rng
 from copesim.costs import linear_cost
 from copesim.model import (CostTypeDistribution, GaussianPrior, Scenario,
-                           TYPE_CLAMP, posterior_mean_var,
-                           principal_bayes_risk, agent_bayes_risk,
+                           TYPE_CLAMP, posterior_mean_var, agent_bayes_risk,
                            agent_bayes_risk_deriv)
 
 
@@ -181,7 +180,6 @@ def test_custom_distribution_rejects_log_convex_kink():
 
 def test_bayes_risk_closed_forms():
     prior = GaussianPrior(0.0, 2.0)
-    assert principal_bayes_risk(prior, [1.0, 0.5]) == pytest.approx(1.0 / 2.0)
     assert agent_bayes_risk(prior, 1.5) == pytest.approx(0.5)
     assert agent_bayes_risk_deriv(prior, 1.5) == pytest.approx(-0.25)
 
