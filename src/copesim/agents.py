@@ -133,21 +133,12 @@ def _sorted_draws(kind, dist, n_agents, n_mc, seed) -> np.ndarray:
     return summary
 
 
-def _payoff_matrix(theta: float, candidates, effort_policy,
-                   scenario: Scenario, summary: np.ndarray) -> np.ndarray:
-    """(n_candidates, n_draws) COPE payoffs of an agent of type theta reporting
-    each candidate against each draw's rival summary (_rival_draws), in any
-    order.  effort_policy: "optimal" (the agent's reply to the stake K) or
-    "designated" (the mechanism's Q)."""
-    candidates = np.asarray(candidates, dtype=float).reshape(-1)
-    return _scorer(theta, candidates, effort_policy, scenario,
-                   summary)(0, candidates.size, 0)
-
-
 def _scorer(theta: float, candidates: np.ndarray, effort_policy: str,
             scenario: Scenario, summary: np.ndarray):
-    """score(i, j, k): the payoffs (_payoff_matrix) of candidates[i:j]
-    against the draws summary[k:].
+    """score(i, j, k): the (j - i, n - k) COPE payoffs of an agent of type
+    theta reporting each of candidates[i:j] against each of the draws
+    summary[k:] (_rival_draws, in any order).  effort_policy: "optimal"
+    (the agent's reply to the stake K) or "designated" (the mechanism's Q).
 
     A paid linear entry is pi - K/(prec+q) + S - C(q, theta) with pi = th Q
     + A(min(theta_hi, m)) - A(min(th, theta_hi)), A the clamped
@@ -234,7 +225,7 @@ def _first_paid(candidates: np.ndarray, scenario: Scenario,
 def _score_blocks(theta: float, candidates: np.ndarray, scenario: Scenario,
                   summary: np.ndarray, effort_policy: str) -> list:
     """[(k, payoffs)]: consecutive candidates in blocks of at most _BLOCK
-    elements, each scored (_payoff_matrix) against the ascending summary's
+    elements, each scored (_scorer) against the ascending summary's
     draws from k, its first paid draw, on; every row is 0 before k.  A block
     takes no candidate whose paid suffix is under 3/4 of the block's, which
     bounds the columns scored in vain."""

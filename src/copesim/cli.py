@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__, engine, verify
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .mechanism import SolverError
 
 CSV_HEADER = ("mechanism", "cost", "N", "theta_dagger", "metric", "mean",
@@ -83,13 +83,13 @@ def cmd_run(args) -> int:
                    else args.workers)
         if workers < 1:
             raise ValueError(f"--workers must be >= 1, got {workers}")
-    except (ConfigError, ValueError) as exc:
+        out_dir = cfg.output_path
+        os.makedirs(out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     settings = engine.EngineSettings(tie_break=cfg.tie_break,
                                      hom_denominator=cfg.hom_denominator)
-    out_dir = cfg.output_path
-    os.makedirs(out_dir, exist_ok=True)
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     t0 = time.monotonic()
 
@@ -160,22 +160,27 @@ def _read_results_csv(path: str) -> List[Dict[str, str]]:
             raise ValueError(f"unexpected CSV header {header}")
         rows = []
         for raw in reader:
-            if len(raw) != len(CSV_HEADER):
-                raise ValueError(f"malformed CSV row: {raw}")
-            rows.append(dict(zip(CSV_HEADER, raw)))
+            row = dict(zip(CSV_HEADER, raw))
+            try:
+                if len(raw) != len(CSV_HEADER):
+                    raise ValueError
+                int(row["N"]), float(row["mean"]), float(row["se"])
+            except ValueError:
+                raise ValueError(f"malformed CSV row: {raw}") from None
+            rows.append(row)
     if not rows:
         raise ValueError("CSV has no data rows")
     return rows
 
 
 def cmd_figures(args) -> int:
+    out_dir = args.output or os.path.dirname(os.path.abspath(args.results))
     try:
         rows = _read_results_csv(args.results)
+        os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.output or os.path.dirname(os.path.abspath(args.results))
-    os.makedirs(out_dir, exist_ok=True)
     for name, cost, metric, want_centralized in FIGURES:
         sel = [r for r in rows if r["cost"] == cost and r["metric"] == metric]
         if not want_centralized:

@@ -1,4 +1,4 @@
-"""Effort-cost families and numeric regularity checks.
+"""Effort-cost families and their numeric regularity check.
 
 A cost model is a marginal cost c(q, theta) plus its integral C(q, theta).
 The two closed-form families are linear (C = q*theta) and quadratic
@@ -178,57 +178,3 @@ def check_regularity(model: CostModel) -> RegularityReport:
         cross_partial=vals["d2c_dq_dtheta"] >= -atol2,
         worst=vals,
     )
-
-
-# -- report-sensitivity condition for truthful bidding -----------------------
-
-def own_effort(efforts: Callable, t: float, theta_rest) -> float:
-    """Agent 0's designated effort under the effort rule efforts (report
-    vector -> designated efforts) at reports (t, *theta_rest)."""
-    return float(efforts(np.concatenate(([t], theta_rest)))[0])
-
-
-@dataclass(frozen=True)
-class ScheduleConditionReport:
-    theta_grid: np.ndarray
-    values: np.ndarray        # curvature-weighted sensitivity, needs <= 0
-    efforts: np.ndarray
-    passes: np.ndarray        # per grid point
-
-    @property
-    def ok_where_active(self) -> bool:
-        """Pass on every grid point with positive designated effort."""
-        active = self.efforts > 0
-        return bool(np.all(self.passes[active])) if active.any() else True
-
-
-def theorem3_condition(model: CostModel, efforts: Callable, theta_grid,
-                       var0: float = 1.0,
-                       theta_rest=()) -> ScheduleConditionReport:
-    """Check that a lower report never lowers the agent's effective marginal
-    cost the wrong way: the curvature-weighted sensitivity
-
-        dc/dtheta(Q(t), t) + 2 c(Q(t), t) Q'(t) / (1/var0 + Q(t))  <=  0
-
-    along the effort rule, with Q(t) = own_effort(efforts, t, theta_rest),
-    by finite differences, up to 1e-6 of the largest value.  This is the
-    quantity whose sign drives the truthful-bidding argument; with squared
-    loss the factor 2/(1/var0 + q) is -hA''/hA' for the agent's posterior
-    risk hA.
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    prec = 1.0 / var0
-    vals = np.empty_like(theta_grid)
-    effs = np.empty_like(theta_grid)
-    for i, t in enumerate(theta_grid):
-        h = _step(t)
-        q = own_effort(efforts, t, theta_rest)
-        dq = (own_effort(efforts, t + h, theta_rest)
-              - own_effort(efforts, t - h, theta_rest)) / (2 * h)
-        c = float(model.marginal(q, t))
-        c_t = fd_marginal_dtheta(model, q, t)
-        vals[i] = c_t + 2.0 * c * dq / (prec + q)
-        effs[i] = q
-    scale = max(1.0, np.abs(vals).max())
-    return ScheduleConditionReport(theta_grid=theta_grid, values=vals,
-                                   efforts=effs, passes=vals <= 1e-6 * scale)

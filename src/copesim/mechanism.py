@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import integrate, optimize
 
-from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta, own_effort
+from .costs import CostModel, fd_marginal_dtheta, fd_total_dtheta
 from .model import (CostTypeDistribution, GaussianPrior, agent_bayes_risk,
                     agent_bayes_risk_deriv)
 
@@ -695,6 +695,12 @@ def predict_batch(prior: GaussianPrior, reports: np.ndarray,
 # ---------------------------------------------------------------------------
 # numeric property reports (monotonicity, truthful-bidding ratio)
 # ---------------------------------------------------------------------------
+
+def own_effort(efforts: Callable, t: float, theta_rest) -> float:
+    """Agent 0's designated effort under the effort rule efforts (report
+    vector -> designated efforts) at reports (t, *theta_rest)."""
+    return float(efforts(np.concatenate(([t], theta_rest)))[0])
+
 
 @dataclass(frozen=True)
 class SweepReport:

@@ -1,10 +1,14 @@
-"""Shared fixtures (standard scenario builders used across the test modules)
-and left_to_right, the reference sum that the bitwise tests import."""
+"""Shared fixtures (standard scenario builders used across the test modules),
+left_to_right, the reference sum that the bitwise tests import, and the
+closed-form effort rules at theta_lo = 0 that the schedule tests import."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from copesim import mechanism
 from copesim.costs import LINEAR, linear_cost, quadratic_cost
 from copesim.model import CostTypeDistribution, GaussianPrior, Scenario
 
@@ -42,3 +46,11 @@ def left_to_right(a):
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])[()]
     return (np.add.accumulate(a, axis=-1)[..., -1] + 0.0)[()]
+
+
+def linear_rule(var0):
+    return partial(mechanism.effort_linear, theta_lo=0.0, var0=var0)
+
+
+def quadratic_rule(var0):
+    return partial(mechanism.effort_quadratic, theta_lo=0.0, var0=var0)

@@ -98,6 +98,14 @@ def test_quadratic_reward_effort_zero_reward_and_broadcasting(prec):
             assert np.all(np.abs(q - ref) <= 1e-14 * ref)
 
 
+def _payoffs(theta, candidates, effort_policy, scenario, summary):
+    """The (candidates, draws) COPE payoffs of agents._scorer, every
+    candidate against every draw."""
+    candidates = np.asarray(candidates, dtype=float).reshape(-1)
+    return agents._scorer(theta, candidates, effort_policy, scenario,
+                          summary)(0, candidates.size, 0)
+
+
 def _summaries_in_draw_order(scenario, n_mc, seed):
     """Each rival draw's summary in draw order, rebuilt from the rival
     stream: the lowest rival report under linear cost, the summed inverse
@@ -187,7 +195,7 @@ def test_interim_estimates_match_dense_draw_order(make_scenario, kind, n,
             p = agents.interim_payoff(theta, theta_hat, policy, scen,
                                       n_mc=n_mc, seed=5)
             got.append((p.value, p.se))
-            want.append(dense(agents._payoff_matrix(
+            want.append(dense(_payoffs(
                 theta, [theta_hat], policy, scen, summary)[0]))
         r = agents.information_rent(theta, scen, n_mc=n_mc, seed=5)
         got.append((r.value, r.se))
@@ -266,10 +274,9 @@ def test_payoff_rows_do_not_depend_on_blocking(make_scenario, kind):
     summary = agents._rival_draws(scen, 1 << 15, 4)
     candidates = np.linspace(0.05, 0.95, 9)
     for policy in ("designated", "optimal"):
-        together = agents._payoff_matrix(0.4, candidates, policy, scen,
-                                         summary)
+        together = _payoffs(0.4, candidates, policy, scen, summary)
         for row, th in zip(together, candidates):
-            alone = agents._payoff_matrix(0.4, [th], policy, scen, summary)
+            alone = _payoffs(0.4, [th], policy, scen, summary)
             assert np.array_equal(row, alone[0])
         blocks = agents._score_blocks(0.4, candidates, scen, summary, policy)
         assert len(blocks) > 1
@@ -317,8 +324,7 @@ def test_linear_payoffs_match_the_broadcast_bit_for_bit(make_scenario, n,
         assert np.isin(candidates, draw_order).sum() == 3
     for summary in (draw_order, np.sort(draw_order)):
         for policy in ("optimal", "designated"):
-            got = agents._payoff_matrix(0.3, candidates, policy, scen,
-                                        summary)
+            got = _payoffs(0.3, candidates, policy, scen, summary)
             want = _broadcast_linear_payoffs(0.3, candidates, policy, scen,
                                              summary)
             assert np.array_equal(got, want)
@@ -356,12 +362,12 @@ def _dense_best_response_type(theta, scenario, n_grid=101, n_mc=10_000,
     summary = _summaries_in_draw_order(scenario, n_mc, seed)
     coarse = np.linspace(lo, hi, n_grid)
     step = (hi - lo) / (n_grid - 1)
-    draws = agents._payoff_matrix(theta, np.clip(coarse, lo + TYPE_CLAMP, hi),
-                                  "optimal", scenario, summary)
+    draws = _payoffs(theta, np.clip(coarse, lo + TYPE_CLAMP, hi), "optimal",
+                     scenario, summary)
     t0 = coarse[int(np.argmax(draws.mean(axis=1)))]
     fine = np.linspace(max(lo, t0 - step), min(hi, t0 + step), 21)
     grid, first = np.unique(np.concatenate([coarse, fine]), return_index=True)
-    draws = np.concatenate([draws, agents._payoff_matrix(
+    draws = np.concatenate([draws, _payoffs(
         theta, np.clip(fine, lo + TYPE_CLAMP, hi), "optimal", scenario,
         summary)])[first]
     payoffs = draws.mean(axis=1)

@@ -246,6 +246,22 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_run_rejects_an_output_path_that_is_a_file(tmp_path, monkeypatch,
+                                                     capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli.engine, "run_experiment", no_cell)
+    cfg = _write_tiny_config(tmp_path)
+    assert cli.main(["run", "-c", cfg, "-o", str(taken), "-q"]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ") and str(taken) in line
+    assert taken.read_text() == "keep\n"
+
+
 def test_cli_verify_bic_rejects_zero_instances(capsys):
     rc = cli.main(["verify", "bic", "--instances", "0"])
     captured = capsys.readouterr()
@@ -356,3 +372,37 @@ def test_cli_figures_rejects_bad_csv(tmp_path, capsys):
         fh.write("who,what\n1,2\n")
     assert cli.main(["figures", bad]) == 2
     capsys.readouterr()
+
+
+def _one_row_csv(tmp_path, N="3", mean="0.5", se="0.01") -> str:
+    path = str(tmp_path / "one.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cli.CSV_HEADER)
+        writer.writerow(("cope-linear", "linear", N, "", "principal_payoff",
+                         mean, se, "50"))
+    return path
+
+
+@pytest.mark.parametrize("field", [dict(N="x"), dict(N="3.5"),
+                                   dict(mean="abc"), dict(se="")],
+                         ids=["N=x", "N=3.5", "mean=abc", "se=empty"])
+def test_cli_figures_rejects_non_numeric_fields(tmp_path, capsys, field):
+    figdir = tmp_path / "figs"
+    rc = cli.main(["figures", _one_row_csv(tmp_path, **field), "-o",
+                   str(figdir)])
+    assert rc == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: malformed CSV row: ")
+    assert not figdir.exists()
+
+
+def test_cli_figures_rejects_an_output_path_that_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert cli.main(["figures", _one_row_csv(tmp_path), "-o",
+                     str(taken)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ") and str(taken) in line
+    assert taken.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "taken"]

@@ -1,23 +1,16 @@
-"""Cost families, numeric regularity checks, schedule sensitivity condition."""
+"""Cost families, their numeric regularity check, and the truthful-bidding
+sensitivity condition along an effort schedule (sufficient_ratio_report)."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from copesim.costs import (check_regularity, cost, general_cost, linear_cost,
-                           quadratic_cost, theorem3_condition)
-from copesim.mechanism import effort_linear, effort_quadratic
-
-
-def linear_rule(var0):
-    return partial(effort_linear, theta_lo=0.0, var0=var0)
-
-
-def quadratic_rule(var0):
-    return partial(effort_quadratic, theta_lo=0.0, var0=var0)
+                           quadratic_cost)
+from copesim.mechanism import own_effort, sufficient_ratio_report
+from conftest import linear_rule, quadratic_rule
 
 
 # -- totals -------------------------------------------------------------------
@@ -81,43 +74,58 @@ def test_decreasing_marginal_is_flagged():
 
 
 # -- report-sensitivity condition along a schedule -----------------------------
+# For a cost theta*g(q) the curvature-weighted sensitivity is
+# (c/theta)(1 - 2*ratio), so it holds exactly where sufficient_ratio_report's
+# ratio -theta Q'/(1/var0 + Q) is at least 1/2.
+
+def _ratios(sched, rest, var0):
+    rep = sufficient_ratio_report(sched, rest, 0.0, 1.0, var0)
+    return rep, rep.theta_grid, rep.ratios
+
 
 def test_sensitivity_holds_on_linear_schedule_where_active():
-    grid = np.linspace(0.05, 0.95, 41)
-    rep = theorem3_condition(linear_cost(), linear_rule(1.0), grid)
-    assert rep.ok_where_active
-    assert np.any(rep.efforts > 0)
+    sched = linear_rule(1.0)
+    rep, grid, ratios = _ratios(sched, (), 1.0)
+    idle = [own_effort(sched, t, ()) <= 0 for t in grid]
+    assert np.array_equal(np.isnan(ratios), idle)
+    # skip the t=1e-6 node: its step is clamped to (t - lo)/2 and the
+    # central difference truncation error dominates there
+    valid = ratios[~np.isnan(ratios) & (grid >= 1e-3)]
+    assert valid.size > 0
+    assert np.allclose(valid, 0.5, atol=1e-5)
+    assert rep.passes_half
 
 
 def test_sensitivity_holds_on_quadratic_schedule():
-    # the curvature-weighted condition needs the prior-free schedule away from
-    # the lower type boundary; an informative prior deflates the offset term
-    # below the threshold (see the elasticity report test in test_mechanism)
-    grid = np.linspace(0.10, 0.95, 41)
-    rep = theorem3_condition(quadratic_cost(), quadratic_rule(math.inf),
-                             grid, var0=math.inf, theta_rest=(0.4, 0.7))
-    assert rep.ok_where_active
-    assert np.all(rep.efforts > 0)
-    assert np.all(rep.values < 0)
+    # the condition needs the prior-free schedule away from the lower type
+    # boundary; an informative prior deflates the ratio below 1/2
+    _, grid, ratios = _ratios(quadratic_rule(math.inf), (0.4, 0.7), math.inf)
+    assert not np.isnan(ratios).any()
+    hi = ratios[grid >= 0.10]
+    assert (hi.min(), hi.max()) == pytest.approx((0.524, 0.865), abs=5e-4)
+    assert np.all(hi >= 0.5)
 
 
 def test_sensitivity_fails_near_lower_boundary_and_under_informative_prior():
-    # honest record of where the condition breaks: the offset ratio tends to
-    # 1/3 at the boundary, and a unit-variance prior pushes it below 1/2
-    # everywhere on this grid
-    lo = theorem3_condition(quadratic_cost(), quadratic_rule(math.inf),
-                            np.linspace(0.01, 0.05, 5), var0=math.inf,
-                            theta_rest=(0.4, 0.7))
-    assert not lo.ok_where_active
-    info = theorem3_condition(quadratic_cost(), quadratic_rule(1.0),
-                              np.linspace(0.10, 0.95, 41), var0=1.0,
-                              theta_rest=(0.4, 0.7))
-    assert not info.ok_where_active
+    # honest record of where the condition breaks: the ratio tends to 1/3 at
+    # the boundary, and a unit-variance prior pushes it below 1/2 everywhere
+    # on the grid
+    rep, grid, ratios = _ratios(quadratic_rule(math.inf), (0.4, 0.7),
+                                math.inf)
+    assert ratios[grid <= 0.05].max() == pytest.approx(0.412, abs=5e-4)
+    assert not rep.passes_half
+    rep, grid, ratios = _ratios(quadratic_rule(1.0), (0.4, 0.7), 1.0)
+    assert not np.isnan(ratios).any()
+    assert ratios[grid <= 0.05].max() == pytest.approx(0.385, abs=5e-4)
+    hi = ratios[grid >= 0.10]
+    assert (hi.min(), hi.max()) == pytest.approx((0.124, 0.299), abs=5e-4)
+    assert rep.min_ratio == pytest.approx(ratios.min())
+    assert not rep.passes_half
 
 
 def test_sensitivity_fails_on_constant_schedule():
     # a schedule that ignores the report cannot offset the rising marginal
-    flat = lambda reports: np.ones(len(reports))
-    grid = np.linspace(0.05, 0.95, 41)
-    rep = theorem3_condition(linear_cost(), flat, grid)
-    assert not rep.ok_where_active
+    rep, _, ratios = _ratios(lambda reports: np.ones(len(reports)), (), 1.0)
+    assert np.all(ratios == 0.0)
+    assert rep.min_ratio == 0.0
+    assert not rep.passes_half

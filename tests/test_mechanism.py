@@ -20,17 +20,9 @@ from copesim import engine, mechanism
 from copesim.costs import (LINEAR, QUADRATIC, general_cost, linear_cost,
                            quadratic_cost)
 from copesim.model import CostTypeDistribution, GaussianPrior, posterior_mean_var
-from conftest import left_to_right
+from conftest import left_to_right, linear_rule, quadratic_rule
 
 U01 = CostTypeDistribution.uniform(0.0, 1.0)
-
-
-def linear_rule(var0):
-    return partial(mechanism.effort_linear, theta_lo=0.0, var0=var0)
-
-
-def quadratic_rule(var0):
-    return partial(mechanism.effort_quadratic, theta_lo=0.0, var0=var0)
 
 
 # -- linear-cost effort schedule ----------------------------------------------
@@ -833,22 +825,30 @@ def test_schedules_nonincreasing_in_own_report(sched, rest):
 
 
 def test_linear_elasticity_sits_at_one_half():
-    # -Q'(t) t / (Q + 1/var0) = t/(2t - lo) = 1/2 exactly for lo = 0
-    rep = mechanism.sufficient_ratio_report(linear_rule(1.0), (), 0.0, 1.0,
-                                            1.0)
-    # skip the t=1e-6 node: its step is clamped to (t - lo)/2 and the central
-    # difference truncation error dominates there
-    keep = (~np.isnan(rep.ratios)) & (rep.theta_grid >= 1e-3)
-    valid = rep.ratios[keep]
-    assert valid.size > 0
-    assert np.allclose(valid, 0.5, atol=1e-5)
-    assert rep.passes_half
+    # -Q'(t) t / (Q + 1/var0) = t/(2t - lo) = 1/2 exactly for lo = 0; the
+    # prior-free schedule idles above its rival's report 0.2, and those
+    # nodes are skipped, not divided 0 by 0 (var0 = 1 without rivals is
+    # test_costs.py's linear-schedule test)
+    for var0, rest in ((math.inf, (0.2,)), (4.0, (0.4, 0.7))):
+        sched = linear_rule(var0)
+        rep = mechanism.sufficient_ratio_report(sched, rest, 0.0, 1.0, var0)
+        idle = [mechanism.own_effort(sched, t, rest) <= 0
+                for t in rep.theta_grid]
+        assert np.array_equal(np.isnan(rep.ratios), idle)
+        # skip the t=1e-6 node: its step is clamped to (t - lo)/2 and the
+        # central difference truncation error dominates there
+        keep = (~np.isnan(rep.ratios)) & (rep.theta_grid >= 1e-3)
+        valid = rep.ratios[keep]
+        assert valid.size > 0
+        assert np.allclose(valid, 0.5, atol=1e-5)
+        assert rep.passes_half
 
 
 def test_quadratic_elasticity_reported_honestly():
     # the 1/2 lower bound is sufficient, not necessary; with an informative
     # prior the measured ratio dips below it near the boundaries, and the
-    # report must say so rather than smooth it over
+    # report must say so rather than smooth it over (the measured values of
+    # this and the other quadratic inputs are pinned in test_costs.py)
     rep = mechanism.sufficient_ratio_report(quadratic_rule(1.0), (0.4, 0.7),
                                             0.0, 1.0, 1.0)
     assert np.isfinite(rep.min_ratio)
